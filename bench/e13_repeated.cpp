@@ -79,14 +79,14 @@ void run(cli::ExperimentContext& ctx) {
   // E13b: weight-sensitivity of the s1 recommendation.
   out << "\nE13b (extension): weight sensitivity of the s1_critical "
          "metric recommendation\n\n";
-  const auto assessments = [&] {
+  const auto& assessments = [&]() -> const auto& {
     const auto scope = ctx.timer.scope(stage::kStage1Assessment);
-    return run_stage1();
+    return ctx.study.assessments();
   }();
   const core::Scenario& scenario = core::builtin_scenario("s1_critical");
-  const auto effectiveness = [&] {
-    const auto scope = ctx.timer.scope(stage::kStage2Prefix + std::string("s1_critical"));
-    return run_stage2(scenario);
+  const auto& effectiveness = [&]() -> const auto& {
+    const auto scope = ctx.timer.scope(stage::kStage2Prefix + scenario.key);
+    return ctx.study.effectiveness(scenario.key);
   }();
 
   // Alternatives x criteria scores (same construction as the validator).

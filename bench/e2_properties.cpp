@@ -11,17 +11,16 @@ namespace {
 
 void run(cli::ExperimentContext& ctx) {
   std::ostream& out = ctx.out;
+  const core::AssessmentConfig& cfg = ctx.study.config().assessment;
   out << "E2: empirical assessment of metric properties\n"
-      << "(trials=" << full_assessment_config().trials
-      << ", benchmark size=" << full_assessment_config().benchmark_items
-      << " sites, base prevalence="
-      << full_assessment_config().base_prevalence << ")\n\n";
+      << "(trials=" << cfg.trials
+      << ", benchmark size=" << cfg.benchmark_items
+      << " sites, base prevalence=" << cfg.base_prevalence << ")\n\n";
 
-  std::vector<core::MetricAssessment> assessments;
-  {
+  const auto& assessments = [&]() -> const auto& {
     const auto scope = ctx.timer.scope(stage::kStage1Assessment);
-    assessments = run_stage1();
-  }
+    return ctx.study.assessments();
+  }();
 
   std::vector<std::string> headers = {"metric"};
   for (const core::Property p : core::all_properties())

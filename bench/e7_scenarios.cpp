@@ -14,27 +14,27 @@ namespace {
 
 void run(cli::ExperimentContext& ctx) {
   std::ostream& out = ctx.out;
-  const auto assessments = [&] {
+  core::Study& study = ctx.study;
+  {  // stage 1 in its own phase; the recommendations below reuse it
     const auto scope = ctx.timer.scope(stage::kStage1Assessment);
-    return run_stage1();
-  }();
-  const core::MetricSelector selector;
+    (void)study.assessments();
+  }
 
   out << "E7: scenario analysis — metric effectiveness and selection\n"
-      << "(pair trials=" << full_analyzer_config().pair_trials
+      << "(pair trials=" << study.config().analyzer.pair_trials
       << " per scenario; overall = 0.7*fidelity + 0.3*weighted "
          "property score)\n\n";
 
   report::Table summary({"scenario", "cost FN:FP", "prevalence",
                          "best metric", "runner-up", "third"});
 
-  for (const core::Scenario& scenario : core::builtin_scenarios()) {
-    const auto effectiveness = [&] {
+  for (const core::Scenario& scenario : study.scenarios()) {
+    const auto& effectiveness = [&]() -> const auto& {
       const auto scope = ctx.timer.scope(stage::kStage2Prefix + scenario.key);
-      return run_stage2(scenario);
+      return study.effectiveness(scenario.key);
     }();
-    const core::ScenarioRecommendation rec =
-        selector.recommend(scenario, assessments, effectiveness);
+    const core::ScenarioRecommendation& rec =
+        study.recommendation(scenario.key);
 
     out << "--- " << scenario.key << ": " << scenario.name << "\n"
         << scenario.description << "\n";

@@ -4,7 +4,6 @@
 #include "core/validation.h"
 #include "experiments.h"
 #include "report/table.h"
-#include "stats/rank.h"
 #include "study_common.h"
 
 namespace vdbench::bench {
@@ -13,12 +12,13 @@ namespace {
 
 void run(cli::ExperimentContext& ctx) {
   std::ostream& out = ctx.out;
-  const auto assessments = [&] {
+  core::Study& study = ctx.study;
+  {  // stage 1 in its own phase; the validations below reuse it
     const auto scope = ctx.timer.scope(stage::kStage1Assessment);
-    return run_stage1();
-  }();
-  core::ValidationConfig vcfg;  // 7 experts, noise 0.15, spread 0.20
-  const core::McdaValidator validator(vcfg);
+    (void)study.assessments();
+  }
+  // 7 experts, noise 0.15, spread 0.20
+  const core::ValidationConfig& vcfg = study.config().validation;
 
   out << "E8: MCDA validation of the analytical metric selection\n"
       << "(" << vcfg.expert_count << " simulated experts, judgment "
@@ -29,15 +29,11 @@ void run(cli::ExperimentContext& ctx) {
                          "MCDA top metric", "analytical top", "same top",
                          "Kendall tau", "top-3 overlap"});
 
-  for (const core::Scenario& scenario : core::builtin_scenarios()) {
-    const auto effectiveness = [&] {
+  for (const core::Scenario& scenario : study.scenarios()) {
+    const auto& val = [&]() -> const auto& {
       const auto scope = ctx.timer.scope(stage::kStage2Validation);
-      return run_stage2(scenario);
+      return study.validation(scenario.key);
     }();
-    stats::Rng rng = stats::Rng(kStudySeed + 8)
-                         .split(std::hash<std::string>{}(scenario.key));
-    const core::ValidationOutcome val =
-        validator.validate(scenario, assessments, effectiveness, rng);
 
     double mean_cr = 0.0;
     for (const double cr : val.expert_consistency_ratios) mean_cr += cr;
@@ -81,7 +77,7 @@ void run(cli::ExperimentContext& ctx) {
 }  // namespace
 
 void register_e8(cli::ExperimentRegistry& registry) {
-  const core::ValidationConfig vcfg;
+  const core::ValidationConfig vcfg = core::StudyConfig{}.validation;
   registry.add({"e8", "MCDA validation table (stage 3)",
                 stage1_fingerprint() + stage2_fingerprint() +
                     "validation{experts=" + std::to_string(vcfg.expert_count) +

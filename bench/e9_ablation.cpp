@@ -18,14 +18,15 @@ namespace {
 
 void run(cli::ExperimentContext& ctx) {
   std::ostream& out = ctx.out;
-  const auto assessments = [&] {
+  core::Study& study = ctx.study;
+  const auto& assessments = [&]() -> const auto& {
     const auto scope = ctx.timer.scope(stage::kStage1Assessment);
-    return run_stage1();
+    return study.assessments();
   }();
   const core::Scenario& scenario = core::builtin_scenario("s1_critical");
-  const auto effectiveness = [&] {
-    const auto scope = ctx.timer.scope(stage::kStage2Prefix + std::string("s1_critical"));
-    return run_stage2(scenario);
+  const auto& effectiveness = [&]() -> const auto& {
+    const auto scope = ctx.timer.scope(stage::kStage2Prefix + scenario.key);
+    return study.effectiveness(scenario.key);
   }();
 
   // (a) noise sweep, averaged over repeated panels.
@@ -74,9 +75,9 @@ void run(cli::ExperimentContext& ctx) {
   report::Table method_table({"scenario", "tau(AHP,TOPSIS)", "tau(AHP,WSM)",
                               "same top (AHP vs TOPSIS)"});
   const core::McdaValidator validator;  // default config
-  for (const core::Scenario& sc : core::builtin_scenarios()) {
+  for (const core::Scenario& sc : study.scenarios()) {
     const auto scope = ctx.timer.scope(stage::kMethodAblation);
-    const auto eff = run_stage2(sc);
+    const auto& eff = study.effectiveness(sc.key);
     stats::Rng rng = stats::Rng(kStudySeed + 10)
                          .split(std::hash<std::string>{}(sc.key));
     const core::ValidationOutcome val =

@@ -6,7 +6,8 @@
 // payload (report text + artifacts) from disk. A resilience supervisor
 // wraps every computation: failed experiments retry with capped exponential
 // backoff (a retried attempt is byte-identical to a first-try run — every
-// attempt re-derives its RNG state from the study seed), a wall-clock
+// stage derives its RNG state from the study seed, and attempts share only
+// completed stages of the run's core::Study), a wall-clock
 // watchdog cancels overrunning experiments through the executor's
 // cooperative cancellation token, and failures degrade gracefully — the
 // study continues, the failure is recorded, and the exit code reports the
@@ -68,8 +69,9 @@ struct DriverOptions {
   double min_hit_rate = -1.0;
   /// Extra compute attempts per experiment after a failure (exception,
   /// injected fault, or watchdog timeout). Each retry re-runs the
-  /// experiment from scratch — same seed, fresh state — so a retried
-  /// result is byte-identical to a first-try one.
+  /// experiment with a fresh context — same seed, sharing only the run's
+  /// completed study stages — so a retried result is byte-identical to a
+  /// first-try one.
   std::size_t retries = 0;
   /// Base backoff before retry k (doubling, capped at 5s): delay =
   /// min(5000, retry_backoff_ms << (k-1)). 0 disables sleeping (tests).

@@ -1,6 +1,10 @@
 #include "core/study.h"
 
+#include <functional>
 #include <stdexcept>
+
+#include "obs/names.h"
+#include "obs/trace.h"
 
 namespace vdbench::core {
 
@@ -23,44 +27,6 @@ Study::Study(StudyConfig config) : config_(std::move(config)) {
     throw std::invalid_argument("Study: no scenarios");
 }
 
-void Study::run() {
-  assessments_.clear();
-  effectiveness_.clear();
-  recommendations_.clear();
-  validations_.clear();
-
-  stats::Rng master(config_.seed);
-
-  stats::Rng assess_rng = master.split(1);
-  assessments_ = PropertyAssessor(config_.assessment).assess_all(assess_rng);
-
-  const ScenarioAnalyzer analyzer(config_.analyzer);
-  const MetricSelector selector(config_.selector);
-  const McdaValidator validator(config_.validation);
-  const std::vector<MetricId> metrics = ranking_metrics();
-
-  for (const Scenario& scenario : scenarios_) {
-    stats::Rng scenario_rng =
-        master.split(2).split(std::hash<std::string>{}(scenario.key));
-    std::vector<EffectivenessResult> eff =
-        analyzer.analyze(scenario, metrics, scenario_rng);
-    recommendations_.emplace(scenario.key,
-                             selector.recommend(scenario, assessments_, eff));
-    stats::Rng validation_rng =
-        master.split(3).split(std::hash<std::string>{}(scenario.key));
-    validations_.emplace(scenario.key,
-                         validator.validate(scenario, assessments_, eff,
-                                            validation_rng));
-    effectiveness_.emplace(scenario.key, std::move(eff));
-  }
-  has_run_ = true;
-}
-
-void Study::require_run() const {
-  if (!has_run_)
-    throw std::logic_error("Study: call run() before reading results");
-}
-
 const Scenario& Study::find_scenario(std::string_view key) const {
   for (const Scenario& s : scenarios_)
     if (s.key == key) return s;
@@ -68,36 +34,72 @@ const Scenario& Study::find_scenario(std::string_view key) const {
                               std::string(key));
 }
 
-const std::vector<MetricAssessment>& Study::assessments() const {
-  require_run();
-  return assessments_;
+// Every lookup below computes into a temporary and stores it only once the
+// computation returned, so a throw leaves the memo as it was.
+
+const std::vector<MetricAssessment>& Study::assessments() {
+  if (!assessments_) {
+    const obs::Span span(obs::names::kStudyStage1);
+    stats::Rng rng(config_.seed);
+    assessments_ = PropertyAssessor(config_.assessment).assess_all(rng);
+  }
+  return *assessments_;
 }
 
 const std::vector<EffectivenessResult>& Study::effectiveness(
-    std::string_view scenario_key) const {
-  require_run();
-  find_scenario(scenario_key);
-  return effectiveness_.find(scenario_key)->second;
+    std::string_view scenario_key) {
+  const Scenario& scenario = find_scenario(scenario_key);
+  auto it = effectiveness_.find(scenario_key);
+  if (it == effectiveness_.end()) {
+    const obs::Span span(obs::names::kStudyStage2, scenario.key);
+    stats::Rng rng = stats::Rng(config_.seed)
+                         .split(std::hash<std::string>{}(scenario.key));
+    it = effectiveness_
+             .emplace(scenario.key,
+                      ScenarioAnalyzer(config_.analyzer)
+                          .analyze(scenario, ranking_metrics(), rng))
+             .first;
+  }
+  return it->second;
 }
 
 const ScenarioRecommendation& Study::recommendation(
-    std::string_view scenario_key) const {
-  require_run();
-  find_scenario(scenario_key);
-  return recommendations_.find(scenario_key)->second;
+    std::string_view scenario_key) {
+  const Scenario& scenario = find_scenario(scenario_key);
+  auto it = recommendations_.find(scenario_key);
+  if (it == recommendations_.end()) {
+    it = recommendations_
+             .emplace(scenario.key,
+                      MetricSelector(config_.selector)
+                          .recommend(scenario, assessments(),
+                                     effectiveness(scenario_key)))
+             .first;
+  }
+  return it->second;
 }
 
-const ValidationOutcome& Study::validation(
-    std::string_view scenario_key) const {
-  require_run();
-  find_scenario(scenario_key);
-  return validations_.find(scenario_key)->second;
+const ValidationOutcome& Study::validation(std::string_view scenario_key) {
+  const Scenario& scenario = find_scenario(scenario_key);
+  auto it = validations_.find(scenario_key);
+  if (it == validations_.end()) {
+    // Offset 8: the stream E8 has always validated on.
+    stats::Rng rng = stats::Rng(config_.seed + 8)
+                         .split(std::hash<std::string>{}(scenario.key));
+    it = validations_
+             .emplace(scenario.key,
+                      McdaValidator(config_.validation)
+                          .validate(scenario, assessments(),
+                                    effectiveness(scenario_key), rng))
+             .first;
+  }
+  return it->second;
 }
 
-bool Study::validated() const {
-  require_run();
-  for (const auto& [key, outcome] : validations_)
+bool Study::validated() {
+  for (const Scenario& s : scenarios_) {
+    const ValidationOutcome& outcome = validation(s.key);
     if (!outcome.same_top || !outcome.ahp.acceptable()) return false;
+  }
   return true;
 }
 

@@ -1,17 +1,20 @@
 // Study orchestrator: the whole DSN'15 three-stage study behind one API.
 //
-//   Study study(StudyConfig{});
-//   study.run(rng);
+//   Study study;                                   // full-size defaults
 //   study.recommendation("s1_critical").best();   // stage 1+2 selection
 //   study.validation("s1_critical").same_top;     // stage 3 agreement
 //
-// The bench binaries and downstream users share this instead of re-wiring
-// PropertyAssessor, ScenarioAnalyzer, MetricSelector and McdaValidator by
-// hand. Stages are computed once per scenario and cached; everything is
-// deterministic given the seed in the config.
+// The only code that wires and seeds the study's stages: the experiment
+// driver creates one Study per run and every experiment reads its stages
+// from it instead of re-wiring PropertyAssessor, ScenarioAnalyzer,
+// MetricSelector and McdaValidator by hand. Each stage is computed on its
+// first request and memoised; each derives its own Rng from the seed, so a
+// stage's result is a pure function of the config — independent of which
+// stages ran before it and of a scenario's position in the list.
 #pragma once
 
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -19,31 +22,35 @@
 
 namespace vdbench::core {
 
-/// Configuration of a full study run.
+/// Seed of the published study run (DSN'15 first day).
+inline constexpr std::uint64_t kStudySeed = 20150622;
+
+/// Configuration of a full study. The defaults are the full-size study
+/// every experiment reports; tests use reduced copies.
 struct StudyConfig {
-  AssessmentConfig assessment{};
-  ScenarioAnalyzer::Config analyzer{};
+  AssessmentConfig assessment{
+      .benchmark_items = 500, .trials = 400, .asymptotic_items = 1'000'000};
+  ScenarioAnalyzer::Config analyzer{.pair_trials = 2000};
   MetricSelector::Config selector{};
   ValidationConfig validation{};
   /// Scenarios to study; empty = the built-in S1..S5.
   std::vector<Scenario> scenarios;
-  /// Master seed; every stage derives independent substreams from it.
-  std::uint64_t seed = 20150622;
+  /// Master seed; every stage derives its own stream from it.
+  std::uint64_t seed = kStudySeed;
 
   /// Throws std::invalid_argument when a sub-config is invalid.
   void validate() const;
 };
 
-/// Runs and caches the three study stages.
+/// Computes each study stage on first request and keeps the result.
+///
+/// A stage whose computation throws (an injected fault, a watchdog
+/// cancellation) stores nothing, so the next request computes it afresh.
+/// Not thread-safe: one Study serves one run, from one thread at a time.
 class Study {
  public:
   explicit Study(StudyConfig config = StudyConfig{});
 
-  /// Execute all stages for all scenarios. Idempotent: re-running with the
-  /// same config recomputes identical results.
-  void run();
-
-  [[nodiscard]] bool has_run() const noexcept { return has_run_; }
   [[nodiscard]] const StudyConfig& config() const noexcept { return config_; }
 
   /// Scenarios the study covers.
@@ -51,35 +58,35 @@ class Study {
     return scenarios_;
   }
 
-  /// Stage-1 assessments (catalogue order). Throws std::logic_error before
-  /// run().
-  [[nodiscard]] const std::vector<MetricAssessment>& assessments() const;
+  /// Stage 1, catalogue order:
+  /// PropertyAssessor(assessment).assess_all(Rng(seed)).
+  [[nodiscard]] const std::vector<MetricAssessment>& assessments();
 
-  /// Stage-2 effectiveness for a scenario key. Throws std::logic_error
-  /// before run(), std::invalid_argument for unknown keys.
+  /// Stage 2 for a scenario key: ScenarioAnalyzer(analyzer).analyze(s,
+  /// ranking_metrics(), Rng(seed).split(std::hash<std::string>{}(s.key))).
+  /// Throws std::invalid_argument for unknown keys.
   [[nodiscard]] const std::vector<EffectivenessResult>& effectiveness(
-      std::string_view scenario_key) const;
+      std::string_view scenario_key);
 
   /// Stage-2+1 analytical recommendation for a scenario key.
   [[nodiscard]] const ScenarioRecommendation& recommendation(
-      std::string_view scenario_key) const;
+      std::string_view scenario_key);
 
-  /// Stage-3 validation outcome for a scenario key.
+  /// Stage-3 validation outcome for a scenario key, on the stream
+  /// Rng(seed + 8).split(std::hash<std::string>{}(s.key)).
   [[nodiscard]] const ValidationOutcome& validation(
-      std::string_view scenario_key) const;
+      std::string_view scenario_key);
 
   /// True when stage 3 agreed with the analytical top choice in every
   /// scenario — the study's overall validation verdict.
-  [[nodiscard]] bool validated() const;
+  [[nodiscard]] bool validated();
 
  private:
   const Scenario& find_scenario(std::string_view key) const;
-  void require_run() const;
 
   StudyConfig config_;
   std::vector<Scenario> scenarios_;
-  bool has_run_ = false;
-  std::vector<MetricAssessment> assessments_;
+  std::optional<std::vector<MetricAssessment>> assessments_;
   std::map<std::string, std::vector<EffectivenessResult>, std::less<>>
       effectiveness_;
   std::map<std::string, ScenarioRecommendation, std::less<>> recommendations_;

@@ -37,7 +37,7 @@ inline constexpr const char* kCacheCorrupt = "cache.corrupt";
 // Fault injector (fault/injector.cpp).
 inline constexpr const char* kFaultFire = "fault.fire";
 
-// Study stages (bench/study_common.h).
+// Study stages (core/study.cpp), around the computation, not the lookup.
 inline constexpr const char* kStudyStage1 = "study.stage1";
 inline constexpr const char* kStudyStage2 = "study.stage2";
 

@@ -59,7 +59,7 @@ void write_validation(JsonWriter& w, const core::ValidationOutcome& v) {
 
 }  // namespace
 
-std::string study_to_json(const core::Study& study) {
+std::string study_to_json(core::Study& study) {
   JsonWriter w;
   w.begin_object();
   w.field("seed", study.config().seed);

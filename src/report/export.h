@@ -13,9 +13,9 @@
 namespace vdbench::report {
 
 /// Full three-stage study: assessments, per-scenario effectiveness,
-/// recommendations and validation outcomes. Throws std::logic_error when
-/// the study has not run.
-[[nodiscard]] std::string study_to_json(const core::Study& study);
+/// recommendations and validation outcomes. Computes every stage the study
+/// has not computed yet.
+[[nodiscard]] std::string study_to_json(core::Study& study);
 
 /// Repeated-benchmark campaign: per-tool estimates with CIs and pairwise
 /// comparisons.

@@ -14,34 +14,13 @@
 #include "corpus/manifest.h"
 #include "corpus/sarif.h"
 #include "corpus/synthetic.h"
-#include "vdsim/tool.h"
+#include "sweep_corpus.h"
 
 namespace vdbench::corpus {
 namespace {
 
-// A small but structurally complete corpus: two ecosystems, vulnerable and
-// clean sites, findings with and without confidence.
-SyntheticCorpusSpec sweep_spec() {
-  SyntheticCorpusSpec spec;
-  spec.name = "sweep";
-  spec.seed = 17;
-  spec.ecosystems.push_back(
-      {"alpha", 12, 0.5, {2, 1, 1, 1, 1, 1, 1, 1}});
-  spec.ecosystems.push_back(
-      {"beta", 12, 0.25, {0, 0, 1, 1, 2, 2, 1, 1}});
-  return spec;
-}
-
-std::string sweep_manifest_doc() {
-  return render_manifest(synthesize_manifest(sweep_spec()));
-}
-
-std::string sweep_sarif_doc() {
-  const SyntheticCorpusSpec spec = sweep_spec();
-  const Manifest manifest = synthesize_manifest(spec);
-  return render_sarif_report(
-      synthesize_report(spec, manifest, vdsim::builtin_tools().front()));
-}
+using sweep::sweep_manifest_doc;
+using sweep::sweep_sarif_doc;
 
 template <typename ParseFn>
 void expect_every_prefix_loud(const std::string& doc, ParseFn parse) {

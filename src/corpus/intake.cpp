@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -32,14 +33,24 @@ std::string read_corpus_bytes(const std::string& path,
                             path + "'",
                         0);
     }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
+    // Read straight into a buffer of the file's size, then append whatever
+    // lies past that size (a file that grew, or all of a pipe, which has
+    // no size).
+    std::error_code size_error;
+    const std::uintmax_t size = std::filesystem::file_size(path, size_error);
+    if (!size_error) {
+      bytes.resize(static_cast<std::size_t>(size));
+      in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+      bytes.resize(static_cast<std::size_t>(in.gcount()));
+    }
+    std::ostringstream rest;
+    rest << in.rdbuf();
+    bytes += std::move(rest).str();
     if (in.bad()) {
       throw CorpusError(
           "i/o error reading " + std::string(kind) + " file '" + path + "'",
           0);
     }
-    bytes = std::move(buffer).str();
   }
   obs::count(obs::Counter::kCorpusReads, 1);
 

@@ -1,10 +1,10 @@
 #include "corpus/matcher.h"
 
 #include <cstddef>
-#include <map>
-#include <string>
-#include <utility>
+#include <optional>
+#include <vector>
 
+#include "corpus/site_index.h"
 #include "obs/names.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
@@ -16,8 +16,9 @@ namespace {
 // Winning finding on a site, if any, under policy clause 4.
 struct Claim {
   double confidence = -1.0;
-  std::size_t finding = 0;  ///< document index of the current winner
-  bool present = false;
+  std::size_t finding = kNoClaim;  ///< document index of the current winner
+
+  static constexpr std::size_t kNoClaim = static_cast<std::size_t>(-1);
 };
 
 }  // namespace
@@ -27,29 +28,28 @@ MatchResult match_findings(const Manifest& manifest,
   const obs::Span span(obs::names::kCorpusMatch);
 
   // Flat index over the manifest's enumerated sites (clause 2). Duplicate
-  // sites were rejected at parse time, so emplace never collides.
-  std::map<std::pair<std::string, std::uint32_t>, std::size_t, std::less<>>
-      site_index;
-  std::size_t flat = 0;
+  // sites were rejected at parse time; in a manifest built in memory the
+  // first of two equal sites is the one findings match.
+  const std::size_t sites = manifest.site_count();
+  detail::SiteIndex site_index(sites);
   for (const Ecosystem& eco : manifest.ecosystems)
-    for (const TruthSite& site : eco.sites)
-      site_index.emplace(std::make_pair(site.uri, site.line), flat++);
+    for (const TruthSite& site : eco.sites) site_index.insert(site);
 
   MatchResult result;
-  result.stats.sites = flat;
+  result.stats.sites = sites;
 
   // One pass over the findings: keep the winner per claimed site.
-  std::map<std::size_t, Claim> claims;
+  std::vector<Claim> claims(sites);
   for (std::size_t f = 0; f < report.findings.size(); ++f) {
     const SarifFinding& finding = report.findings[f];
-    const auto it =
-        site_index.find(std::make_pair(finding.uri, finding.line));
-    if (it == site_index.end()) {
+    const std::optional<std::size_t> site =
+        site_index.find(finding.uri, finding.line);
+    if (!site) {
       ++result.stats.stray;
       continue;
     }
-    Claim& claim = claims[it->second];
-    if (claim.present) {
+    Claim& claim = claims[*site];
+    if (claim.finding != Claim::kNoClaim) {
       ++result.stats.duplicates;
       // Strictly-greater keeps the earliest on ties (clause 4); absent
       // confidence is -1.0 and so ranks below any declared value.
@@ -59,13 +59,12 @@ MatchResult match_findings(const Manifest& manifest,
       }
       continue;
     }
-    claim.present = true;
     claim.confidence = finding.confidence;
     claim.finding = f;
   }
 
   // Emit one record per site, manifest order (clause 2).
-  result.records.reserve(flat);
+  result.records.reserve(sites);
   std::size_t index = 0;
   for (std::size_t e = 0; e < manifest.ecosystems.size(); ++e) {
     const Ecosystem& eco = manifest.ecosystems[e];
@@ -79,10 +78,10 @@ MatchResult match_findings(const Manifest& manifest,
               ? static_cast<std::uint8_t>(
                     vdsim::vuln_class_index(site.vuln_class))
               : stream::kCleanSite;
-      const auto claim = claims.find(index);
-      if (claim != claims.end()) {
+      if (const Claim& claim = claims[index];
+          claim.finding != Claim::kNoClaim) {
         ++result.stats.matched;
-        const SarifFinding& winner = report.findings[claim->second.finding];
+        const SarifFinding& winner = report.findings[claim.finding];
         std::uint8_t claimed = kUnknownClass;
         const auto rule = manifest.rules.find(winner.rule_id);
         if (rule != manifest.rules.end()) {

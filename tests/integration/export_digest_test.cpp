@@ -86,15 +86,15 @@ TEST(ExportDigestTest, EveryExperimentMatchesItsRecordedDigest) {
 
   std::ifstream in(dir / "export.json", std::ios::binary);
   const std::string bytes{std::istreambuf_iterator<char>(in), {}};
-  const std::optional<report::JsonValue> doc = report::parse_json(bytes);
-  ASSERT_TRUE(doc.has_value() && doc->is_object());
-  const std::vector<report::JsonValue>& payloads =
-      *doc->member("experiments")->as_array();
+  const std::optional<report::JsonDocument> parsed = report::parse_json(bytes);
+  ASSERT_TRUE(parsed.has_value() && parsed->root().is_object());
+  const report::JsonArray payloads =
+      *parsed->root().member("experiments")->as_array();
 
   std::set<std::string> seen;
   for (const report::JsonValue& payload : payloads) {
-    const std::string& id = *payload.member("experiment")->as_string();
-    seen.insert(id);
+    const std::string_view id = *payload.member("experiment")->as_string();
+    seen.emplace(id);
     const auto row = std::find_if(
         std::begin(kExperimentDigests), std::end(kExperimentDigests),
         [&](const RecordedDigest& r) { return id == r.experiment; });

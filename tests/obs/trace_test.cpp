@@ -98,11 +98,11 @@ TEST(TracerTest, CapturesBalancedSpansAndInstants) {
   EXPECT_EQ(tracer.event_count(), 5u);  // 2 B + 2 E + 1 instant
 
   const std::string json = tracer.render_json();
-  const std::optional<report::JsonValue> doc = report::parse_json(json);
-  ASSERT_TRUE(doc.has_value()) << json;
-  const report::JsonValue* events = doc->member("traceEvents");
+  const std::optional<report::JsonDocument> parsed = report::parse_json(json);
+  ASSERT_TRUE(parsed.has_value()) << json;
+  const report::JsonValue* events = parsed->root().member("traceEvents");
   ASSERT_NE(events, nullptr);
-  ASSERT_NE(events->as_array(), nullptr);
+  ASSERT_TRUE(events->as_array().has_value());
   ASSERT_EQ(events->as_array()->size(), 5u);
 
   int depth = 0;
@@ -114,12 +114,12 @@ TEST(TracerTest, CapturesBalancedSpansAndInstants) {
     ASSERT_NE(ph, nullptr);
     ASSERT_NE(name, nullptr);
     ASSERT_NE(ts, nullptr);
-    ASSERT_NE(ph->as_string(), nullptr);
-    ASSERT_NE(name->as_string(), nullptr);
+    ASSERT_TRUE(ph->as_string().has_value());
+    ASSERT_TRUE(name->as_string().has_value());
     ASSERT_TRUE(ts->as_number().has_value());
     EXPECT_GE(*ts->as_number(), 0.0);
-    names.insert(*name->as_string());
-    const std::string& phase = *ph->as_string();
+    names.emplace(*name->as_string());
+    const std::string_view phase = *ph->as_string();
     if (phase == "B") ++depth;
     if (phase == "E") --depth;
     EXPECT_GE(depth, 0);
@@ -142,12 +142,12 @@ TEST(TracerTest, ThreadsGetDistinctTidsAndStartIsFresh) {
   tracer.stop();
   ASSERT_EQ(tracer.event_count(), 4u);
 
-  const std::optional<report::JsonValue> doc =
-      report::parse_json(tracer.render_json());
-  ASSERT_TRUE(doc.has_value());
+  const std::string json = tracer.render_json();
+  const std::optional<report::JsonDocument> parsed = report::parse_json(json);
+  ASSERT_TRUE(parsed.has_value());
   std::set<double> tids;
   for (const report::JsonValue& event :
-       *doc->member("traceEvents")->as_array()) {
+       *parsed->root().member("traceEvents")->as_array()) {
     ASSERT_TRUE(event.member("tid")->as_number().has_value());
     tids.insert(*event.member("tid")->as_number());
   }
@@ -165,15 +165,16 @@ TEST(TracerTest, EscapesSpanDetailsIntoValidJson) {
   { const Span span("driver.experiment", "quote\" backslash\\ newline\n"); }
   tracer.stop();
   const std::string json = tracer.render_json();
-  const std::optional<report::JsonValue> doc = report::parse_json(json);
-  ASSERT_TRUE(doc.has_value()) << json;
-  const auto& events = *doc->member("traceEvents")->as_array();
+  const std::optional<report::JsonDocument> parsed = report::parse_json(json);
+  ASSERT_TRUE(parsed.has_value()) << json;
+  const report::JsonArray events =
+      *parsed->root().member("traceEvents")->as_array();
   ASSERT_FALSE(events.empty());
   const report::JsonValue* args = events.front().member("args");
   ASSERT_NE(args, nullptr);
   const report::JsonValue* detail = args->member("detail");
   ASSERT_NE(detail, nullptr);
-  ASSERT_NE(detail->as_string(), nullptr);
+  ASSERT_TRUE(detail->as_string().has_value());
   EXPECT_EQ(*detail->as_string(), "quote\" backslash\\ newline\n");
 }
 

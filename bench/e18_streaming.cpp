@@ -11,11 +11,11 @@
 // checkpoints of ONE pass: the 10^4-site numbers are byte-identical to
 // what a standalone 10^4-site run would produce.
 //
-// The checkpoint confusion matrices then go through core::BatchEvaluator
-// as one SoA batch, giving every reported metric at every size from the
-// same kernels the rest of the study uses. The printed table shows each
-// metric's value per decade and its total drift; the e18_stream.json
-// artifact carries the raw counts and values for regression tracking.
+// The checkpoint confusion matrices then go through core::compute_metric,
+// giving every reported metric at every size from the same formulas the
+// rest of the study uses. The printed table shows each metric's value per
+// decade and its total drift; the e18_stream.json artifact carries the raw
+// counts and values for regression tracking.
 //
 // E18 is the driver's first `streaming` experiment: `--record-log` writes
 // its chunk stream to a checksummed report log, `--replay-log` re-evaluates
@@ -27,12 +27,10 @@
 #include <string>
 #include <vector>
 
-#include "core/batch.h"
 #include "core/metrics.h"
 #include "experiments.h"
 #include "report/json.h"
 #include "report/table.h"
-#include "stats/arena.h"
 #include "stream/pipeline.h"
 #include "study_common.h"
 #include "vdsim/tool.h"
@@ -118,23 +116,15 @@ void run_e18(cli::ExperimentContext& ctx) {
           << "  realized prevalence="
           << report::format_value(result.cm.prevalence(), 4) << "\n\n";
 
-  // All checkpoint matrices through the batch kernels at once — the same
-  // SoA path every other experiment's metric tables use.
   const auto scope = ctx.timer.scope(stage::kStreamMetrics);
-  stats::Arena& arena = stats::Arena::scratch();
-  arena.reset();
   const std::size_t n = result.checkpoints.size();
-  const std::span<core::EvalContext> contexts =
-      arena.allocate_span<core::EvalContext>(n);
+  std::vector<core::EvalContext> contexts(n);
   for (std::size_t i = 0; i < n; ++i) {
-    contexts[i] = core::EvalContext{};
     contexts[i].cm = result.checkpoints[i].cm;
     contexts[i].cost_fn = kCostFn;
     contexts[i].cost_fp = kCostFp;
   }
-  const core::ConfusionBatch batch = core::make_batch(contexts, arena);
-  const core::BatchEvaluator evaluator(arena);
-  const std::span<double> values = arena.allocate_span<double>(n);
+  std::vector<double> values(n);
 
   std::vector<std::string> header = {"metric"};
   for (const stream::StreamCheckpoint& cp : result.checkpoints)
@@ -160,7 +150,8 @@ void run_e18(cli::ExperimentContext& ctx) {
   json.end_array();
   json.key("metrics").begin_array();
   for (const core::MetricId id : kMetrics) {
-    evaluator.evaluate_metric(id, batch, values);
+    for (std::size_t i = 0; i < n; ++i)
+      values[i] = core::compute_metric(id, contexts[i]);
     const core::MetricInfo& info = core::metric_info(id);
     std::vector<std::string> row = {std::string(info.key)};
     for (const double v : values) row.push_back(report::format_value(v, 4));

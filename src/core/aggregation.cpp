@@ -3,8 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "core/batch.h"
-#include "stats/arena.h"
 #include "stats/descriptive.h"
 
 namespace vdbench::core {
@@ -77,31 +75,16 @@ AggregateComparison compare_aggregates(MetricId id,
   cmp.metric = id;
   cmp.workloads = contexts.size();
   cmp.micro = micro_average(id, contexts);
+  cmp.macro = macro_average(id, contexts, UndefinedPolicy::kSkip);
 
-  // One batch kernel pass replaces the per-context dispatch that macro
-  // averaging and the spread estimate would each have repeated. The macro
-  // accumulation below mirrors macro_average(kSkip) exactly (same order,
-  // same finite filter), so the reported value is bit-identical.
-  stats::Arena& arena = stats::Arena::scratch();
-  arena.reset();
-  const ConfusionBatch batch = make_batch(contexts, arena);
-  const std::span<double> per_workload =
-      arena.allocate_span<double>(contexts.size());
-  BatchEvaluator(arena).evaluate_metric(id, batch, per_workload);
-
-  double acc = 0.0;
-  std::size_t defined = 0;
   std::vector<double> values;
-  for (const double v : per_workload) {
-    if (std::isfinite(v)) {
-      acc += v;
-      ++defined;
+  for (const EvalContext& ctx : contexts) {
+    const double v = compute_metric(id, ctx);
+    if (std::isfinite(v))
       values.push_back(v);
-    } else {
+    else
       ++cmp.undefined_workloads;
-    }
   }
-  cmp.macro = defined == 0 ? kNaN : acc / static_cast<double>(defined);
   cmp.per_workload_stddev = values.size() >= 2 ? stats::stddev(values) : 0.0;
   return cmp;
 }

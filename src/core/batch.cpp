@@ -1,384 +1,8 @@
 #include "core/batch.h"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
 #include <stdexcept>
 
-#include "obs/names.h"
-#include "obs/trace.h"
-
 namespace vdbench::core {
-
-namespace {
-
-constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-// Exact replicas of the scalar helpers (confusion.cpp `ratio`,
-// metrics.cpp `safe_div`): the bit-identity contract hangs on these
-// performing the same operations in the same order.
-inline double ratio_u64(std::uint64_t num, std::uint64_t den) noexcept {
-  if (den == 0) return kNaN;
-  return static_cast<double>(num) / static_cast<double>(den);
-}
-
-inline double safe_div(double num, double den) noexcept {
-  if (den == 0.0 || !std::isfinite(den) || !std::isfinite(num)) return kNaN;
-  return num / den;
-}
-
-inline bool is_def(double v) noexcept { return std::isfinite(v); }
-
-// Lazily materialised shared rate planes. Plane storage lives in the
-// caller-provided slot array (the evaluator's cross-call cache, or a local
-// array for tiled sweeps), so each plane is filled at most once per batch
-// even across separate evaluate_metric calls; kernels hoist the plane
-// pointers out of their inner loops.
-class RatePlanes {
- public:
-  RatePlanes(const ConfusionBatch& b, stats::Arena& arena,
-             std::array<const double*, 6>& slots) noexcept
-      : b_(b), arena_(&arena), slots_(&slots) {}
-
-  const double* tpr() {
-    return fill(0, [](const ConfusionBatch& b, std::size_t i) {
-      return ratio_u64(b.tp[i], b.tp[i] + b.fn[i]);
-    });
-  }
-  const double* fnr() {
-    return fill(1, [](const ConfusionBatch& b, std::size_t i) {
-      return ratio_u64(b.fn[i], b.tp[i] + b.fn[i]);
-    });
-  }
-  const double* tnr() {
-    return fill(2, [](const ConfusionBatch& b, std::size_t i) {
-      return ratio_u64(b.tn[i], b.tn[i] + b.fp[i]);
-    });
-  }
-  const double* fpr() {
-    return fill(3, [](const ConfusionBatch& b, std::size_t i) {
-      return ratio_u64(b.fp[i], b.tn[i] + b.fp[i]);
-    });
-  }
-  const double* ppv() {
-    return fill(4, [](const ConfusionBatch& b, std::size_t i) {
-      return ratio_u64(b.tp[i], b.tp[i] + b.fp[i]);
-    });
-  }
-  const double* npv() {
-    return fill(5, [](const ConfusionBatch& b, std::size_t i) {
-      return ratio_u64(b.tn[i], b.tn[i] + b.fn[i]);
-    });
-  }
-
- private:
-  template <typename Fill>
-  const double* fill(std::size_t slot, Fill&& f) {
-    const double*& plane = (*slots_)[slot];
-    if (plane == nullptr) {
-      double* fresh = arena_->allocate_span<double>(b_.size).data();
-      for (std::size_t i = 0; i < b_.size; ++i) fresh[i] = f(b_, i);
-      plane = fresh;
-    }
-    return plane;
-  }
-
-  const ConfusionBatch& b_;
-  stats::Arena* arena_;
-  std::array<const double*, 6>* slots_;
-};
-
-// F-beta over precomputed P/R planes; b2 is beta^2 exactly as the scalar
-// f_beta computes it (1.0, 0.25, 4.0).
-void fbeta_kernel(const ConfusionBatch& b, const double* p, const double* r,
-                  double b2, double* out, std::size_t stride) {
-  for (std::size_t i = 0; i < b.size; ++i) {
-    const double pi = p[i];
-    const double ri = r[i];
-    double v;
-    if (!is_def(pi) || !is_def(ri)) {
-      v = kNaN;
-    } else {
-      const double den = b2 * pi + ri;
-      v = den == 0.0 ? 0.0 : (1.0 + b2) * pi * ri / den;
-    }
-    out[i * stride] = v;
-  }
-}
-
-// One metric over the whole batch: dispatch once, then a straight-line
-// loop. `stride` lets evaluate_all write metric columns of its row-major
-// plane without a transpose.
-void run_kernel(MetricId id, const ConfusionBatch& b, RatePlanes& planes,
-                double* out, std::size_t stride) {
-  const std::size_t n = b.size;
-  switch (id) {
-    case MetricId::kPrecision: {
-      const double* ppv = planes.ppv();
-      for (std::size_t i = 0; i < n; ++i) out[i * stride] = ppv[i];
-      return;
-    }
-    case MetricId::kRecall: {
-      const double* tpr = planes.tpr();
-      for (std::size_t i = 0; i < n; ++i) out[i * stride] = tpr[i];
-      return;
-    }
-    case MetricId::kFMeasure:
-      fbeta_kernel(b, planes.ppv(), planes.tpr(), 1.0, out, stride);
-      return;
-    case MetricId::kFHalf:
-      fbeta_kernel(b, planes.ppv(), planes.tpr(), 0.25, out, stride);
-      return;
-    case MetricId::kF2:
-      fbeta_kernel(b, planes.ppv(), planes.tpr(), 4.0, out, stride);
-      return;
-    case MetricId::kJaccard:
-      for (std::size_t i = 0; i < n; ++i)
-        out[i * stride] =
-            safe_div(static_cast<double>(b.tp[i]),
-                     static_cast<double>(b.tp[i] + b.fp[i] + b.fn[i]));
-      return;
-    case MetricId::kFowlkesMallows: {
-      const double* ppv = planes.ppv();
-      const double* tpr = planes.tpr();
-      for (std::size_t i = 0; i < n; ++i) {
-        const double p = ppv[i];
-        const double r = tpr[i];
-        out[i * stride] =
-            (!is_def(p) || !is_def(r)) ? kNaN : std::sqrt(p * r);
-      }
-      return;
-    }
-    case MetricId::kSpecificity: {
-      const double* tnr = planes.tnr();
-      for (std::size_t i = 0; i < n; ++i) out[i * stride] = tnr[i];
-      return;
-    }
-    case MetricId::kNpv: {
-      const double* npv = planes.npv();
-      for (std::size_t i = 0; i < n; ++i) out[i * stride] = npv[i];
-      return;
-    }
-    case MetricId::kFpRate: {
-      const double* fpr = planes.fpr();
-      for (std::size_t i = 0; i < n; ++i) out[i * stride] = fpr[i];
-      return;
-    }
-    case MetricId::kFnRate: {
-      const double* fnr = planes.fnr();
-      for (std::size_t i = 0; i < n; ++i) out[i * stride] = fnr[i];
-      return;
-    }
-    case MetricId::kFdRate:
-      for (std::size_t i = 0; i < n; ++i)
-        out[i * stride] = ratio_u64(b.fp[i], b.tp[i] + b.fp[i]);
-      return;
-    case MetricId::kFoRate:
-      for (std::size_t i = 0; i < n; ++i)
-        out[i * stride] = ratio_u64(b.fn[i], b.tn[i] + b.fn[i]);
-      return;
-    case MetricId::kLrPlus: {
-      const double* tpr = planes.tpr();
-      const double* fpr = planes.fpr();
-      for (std::size_t i = 0; i < n; ++i) {
-        const double t = tpr[i];
-        const double f = fpr[i];
-        double v;
-        if (!is_def(t) || !is_def(f))
-          v = kNaN;
-        else if (f == 0.0)
-          v = t == 0.0 ? kNaN : kInf;
-        else
-          v = t / f;
-        out[i * stride] = v;
-      }
-      return;
-    }
-    case MetricId::kLrMinus: {
-      const double* fnr = planes.fnr();
-      const double* tnr = planes.tnr();
-      for (std::size_t i = 0; i < n; ++i) {
-        const double f = fnr[i];
-        const double t = tnr[i];
-        double v;
-        if (!is_def(f) || !is_def(t))
-          v = kNaN;
-        else if (t == 0.0)
-          v = f == 0.0 ? kNaN : kInf;
-        else
-          v = f / t;
-        out[i * stride] = v;
-      }
-      return;
-    }
-    case MetricId::kDiagnosticOddsRatio:
-      for (std::size_t i = 0; i < n; ++i) {
-        const double num =
-            static_cast<double>(b.tp[i]) * static_cast<double>(b.tn[i]);
-        const double den =
-            static_cast<double>(b.fp[i]) * static_cast<double>(b.fn[i]);
-        out[i * stride] =
-            den == 0.0 ? (num == 0.0 ? kNaN : kInf) : num / den;
-      }
-      return;
-    case MetricId::kPrevalenceThreshold: {
-      const double* tpr = planes.tpr();
-      const double* fpr = planes.fpr();
-      for (std::size_t i = 0; i < n; ++i) {
-        const double t = tpr[i];
-        const double f = fpr[i];
-        double v;
-        if (!is_def(t) || !is_def(f)) {
-          v = kNaN;
-        } else {
-          const double den = std::sqrt(t) + std::sqrt(f);
-          v = den == 0.0 ? kNaN : std::sqrt(f) / den;
-        }
-        out[i * stride] = v;
-      }
-      return;
-    }
-    case MetricId::kAccuracy:
-      for (std::size_t i = 0; i < n; ++i)
-        out[i * stride] = safe_div(
-            static_cast<double>(b.tp[i] + b.tn[i]),
-            static_cast<double>(b.tp[i] + b.fp[i] + b.tn[i] + b.fn[i]));
-      return;
-    case MetricId::kErrorRate:
-      for (std::size_t i = 0; i < n; ++i)
-        out[i * stride] = safe_div(
-            static_cast<double>(b.fp[i] + b.fn[i]),
-            static_cast<double>(b.tp[i] + b.fp[i] + b.tn[i] + b.fn[i]));
-      return;
-    case MetricId::kBalancedAccuracy: {
-      const double* tpr = planes.tpr();
-      const double* tnr = planes.tnr();
-      for (std::size_t i = 0; i < n; ++i) {
-        const double t = tpr[i];
-        const double s = tnr[i];
-        out[i * stride] =
-            (!is_def(t) || !is_def(s)) ? kNaN : (t + s) / 2.0;
-      }
-      return;
-    }
-    case MetricId::kGMean: {
-      const double* tpr = planes.tpr();
-      const double* tnr = planes.tnr();
-      for (std::size_t i = 0; i < n; ++i) {
-        const double t = tpr[i];
-        const double s = tnr[i];
-        out[i * stride] =
-            (!is_def(t) || !is_def(s)) ? kNaN : std::sqrt(t * s);
-      }
-      return;
-    }
-    case MetricId::kMcc:
-      for (std::size_t i = 0; i < n; ++i) {
-        const double tp = static_cast<double>(b.tp[i]);
-        const double fp = static_cast<double>(b.fp[i]);
-        const double tn = static_cast<double>(b.tn[i]);
-        const double fn = static_cast<double>(b.fn[i]);
-        const double den =
-            std::sqrt((tp + fp) * (tp + fn) * (tn + fp) * (tn + fn));
-        out[i * stride] = den == 0.0 ? kNaN : (tp * tn - fp * fn) / den;
-      }
-      return;
-    case MetricId::kInformedness: {
-      const double* tpr = planes.tpr();
-      const double* tnr = planes.tnr();
-      for (std::size_t i = 0; i < n; ++i) {
-        const double t = tpr[i];
-        const double s = tnr[i];
-        out[i * stride] =
-            (!is_def(t) || !is_def(s)) ? kNaN : t + s - 1.0;
-      }
-      return;
-    }
-    case MetricId::kMarkedness: {
-      const double* ppv = planes.ppv();
-      const double* npv = planes.npv();
-      for (std::size_t i = 0; i < n; ++i) {
-        const double p = ppv[i];
-        const double q = npv[i];
-        out[i * stride] =
-            (!is_def(p) || !is_def(q)) ? kNaN : p + q - 1.0;
-      }
-      return;
-    }
-    case MetricId::kKappa:
-      for (std::size_t i = 0; i < n; ++i) {
-        const double nn = static_cast<double>(b.tp[i] + b.fp[i] + b.tn[i] +
-                                              b.fn[i]);
-        double v;
-        if (nn == 0.0) {
-          v = kNaN;
-        } else {
-          const double po = (static_cast<double>(b.tp[i]) +
-                             static_cast<double>(b.tn[i])) /
-                            nn;
-          const double p_yes =
-              (static_cast<double>(b.tp[i] + b.fp[i]) / nn) *
-              (static_cast<double>(b.tp[i] + b.fn[i]) / nn);
-          const double p_no =
-              (static_cast<double>(b.tn[i] + b.fn[i]) / nn) *
-              (static_cast<double>(b.tn[i] + b.fp[i]) / nn);
-          const double pe = p_yes + p_no;
-          v = pe == 1.0 ? kNaN : (po - pe) / (1.0 - pe);
-        }
-        out[i * stride] = v;
-      }
-      return;
-    case MetricId::kAuc:
-      for (std::size_t i = 0; i < n; ++i) out[i * stride] = b.auc[i];
-      return;
-    case MetricId::kNormalizedExpectedCost:
-      for (std::size_t i = 0; i < n; ++i) {
-        const double worst =
-            b.cost_fp[i] * static_cast<double>(b.fp[i] + b.tn[i]) +
-            b.cost_fn[i] * static_cast<double>(b.tp[i] + b.fn[i]);
-        const double cost = b.cost_fp[i] * static_cast<double>(b.fp[i]) +
-                            b.cost_fn[i] * static_cast<double>(b.fn[i]);
-        out[i * stride] = safe_div(cost, worst);
-      }
-      return;
-    case MetricId::kWeightedBalancedAccuracy: {
-      const double* tpr = planes.tpr();
-      const double* tnr = planes.tnr();
-      for (std::size_t i = 0; i < n; ++i) {
-        const double w = safe_div(b.cost_fn[i], b.cost_fn[i] + b.cost_fp[i]);
-        const double t = tpr[i];
-        const double s = tnr[i];
-        out[i * stride] = (!is_def(w) || !is_def(t) || !is_def(s))
-                              ? kNaN
-                              : w * t + (1.0 - w) * s;
-      }
-      return;
-    }
-    case MetricId::kPrevalence:
-      for (std::size_t i = 0; i < n; ++i)
-        out[i * stride] = ratio_u64(
-            b.tp[i] + b.fn[i], b.tp[i] + b.fp[i] + b.tn[i] + b.fn[i]);
-      return;
-    case MetricId::kAlarmDensity:
-      for (std::size_t i = 0; i < n; ++i)
-        out[i * stride] =
-            safe_div(static_cast<double>(b.tp[i] + b.fp[i]), b.kloc[i]);
-      return;
-    case MetricId::kAnalysisThroughput:
-      for (std::size_t i = 0; i < n; ++i)
-        out[i * stride] = safe_div(b.kloc[i], b.analysis_seconds[i]);
-      return;
-    case MetricId::kTimePerDetection:
-      for (std::size_t i = 0; i < n; ++i)
-        out[i * stride] = safe_div(b.analysis_seconds[i],
-                                   static_cast<double>(b.tp[i]));
-      return;
-  }
-  throw std::invalid_argument("BatchEvaluator: unknown metric id");
-}
-
-}  // namespace
 
 ConfusionBatch make_batch(std::span<const EvalContext> contexts,
                           stats::Arena& arena) {
@@ -418,54 +42,22 @@ ConfusionBatch make_batch(std::span<const EvalContext> contexts,
   return batch;
 }
 
-void BatchEvaluator::evaluate_metric(MetricId id, const ConfusionBatch& batch,
-                                     std::span<double> out) const {
-  if (out.size() != batch.size)
-    throw std::invalid_argument(
-        "BatchEvaluator::evaluate_metric: out.size() != batch.size");
-  if (batch.size == 0) return;
-  const obs::Span span(obs::names::kBatchEvaluateMetric);
-  // Reuse the rate planes across calls on the same batch (keyed by array
-  // identity): a multi-metric sweep fills each plane once, not per metric.
-  if (batch.tp != cached_key_ || batch.size != cached_size_) {
-    cached_key_ = batch.tp;
-    cached_size_ = batch.size;
-    planes_.fill(nullptr);
-  }
-  RatePlanes planes(batch, *arena_, planes_);
-  run_kernel(id, batch, planes, out.data(), 1);
-}
-
 void BatchEvaluator::evaluate_all(const ConfusionBatch& batch,
                                   std::span<double> out) const {
   if (out.size() != batch.size * kMetricCount)
     throw std::invalid_argument(
         "BatchEvaluator::evaluate_all: out.size() != size * kMetricCount");
-  if (batch.size == 0) return;
-  const obs::Span span(obs::names::kBatchEvaluateAll);
-  const std::span<const MetricId> ids = all_metrics();
-  // Tile the batch so each tile's rate planes and its kMetricCount-strided
-  // output rows stay cache-resident across all 32 kernel sweeps; values
-  // are untouched by the tiling (same per-item arithmetic).
-  constexpr std::size_t kTile = 128;
-  for (std::size_t start = 0; start < batch.size; start += kTile) {
-    const std::size_t n = std::min(kTile, batch.size - start);
-    ConfusionBatch tile;
-    tile.size = n;
-    tile.tp = batch.tp + start;
-    tile.fp = batch.fp + start;
-    tile.tn = batch.tn + start;
-    tile.fn = batch.fn + start;
-    tile.cost_fn = batch.cost_fn + start;
-    tile.cost_fp = batch.cost_fp + start;
-    tile.analysis_seconds = batch.analysis_seconds + start;
-    tile.kloc = batch.kloc + start;
-    tile.auc = batch.auc + start;
-    std::array<const double*, 6> tile_planes{};
-    RatePlanes planes(tile, *arena_, tile_planes);
-    double* rows = out.data() + start * kMetricCount;
-    for (std::size_t m = 0; m < kMetricCount; ++m)
-      run_kernel(ids[m], tile, planes, rows + m, kMetricCount);
+  for (std::size_t i = 0; i < batch.size; ++i) {
+    EvalContext ctx;
+    ctx.cm = ConfusionMatrix{
+        .tp = batch.tp[i], .fp = batch.fp[i], .tn = batch.tn[i],
+        .fn = batch.fn[i]};
+    ctx.cost_fn = batch.cost_fn[i];
+    ctx.cost_fp = batch.cost_fp[i];
+    ctx.analysis_seconds = batch.analysis_seconds[i];
+    ctx.kloc = batch.kloc[i];
+    ctx.auc = batch.auc[i];
+    compute_all_metrics(ctx, out.subspan(i * kMetricCount, kMetricCount));
   }
 }
 

@@ -1,29 +1,17 @@
-// Batch (structure-of-arrays) metric evaluation.
+// Structure-of-arrays view of N evaluation contexts and a whole-catalogue
+// evaluator over it.
 //
-// The study's hot loops evaluate the metric catalogue over thousands of
-// confusion matrices per sweep (E2 property trials, E6 agreement
-// populations, E13/E16 repeated benchmark runs). Going through
-// compute_metric(id, ctx) per matrix pays a 32-way enum dispatch per
-// value, recomputes shared rates (TPR alone feeds ~10 metrics) per
-// metric, and — via compute_all_metrics — a heap allocation per matrix.
+// The module remains for one reason: perfbench's kernel probe and e10's
+// google-benchmark case time the catalogue through a ConfusionBatch and
+// BatchEvaluator::evaluate_all, and the probe compares the plane with
+// compute_all_metrics bit for bit. Every other caller uses compute_metric
+// or compute_all_metrics on the contexts it already holds.
 //
-// BatchEvaluator removes all three: callers gather N contexts into a
-// ConfusionBatch (separate tp/fp/tn/fn arrays plus the per-item scalars),
-// and each metric is computed by one straight-line loop over the batch —
-// the metric dispatch happens once per batch, shared rate planes are
-// computed at most once per batch, and all scratch comes from a
-// stats::Arena (no heap traffic after warm-up).
-//
-// Bit-identity contract: for every metric and every input,
-// evaluate_metric / evaluate_all produce EXACTLY the bits of
-// compute_metric(id, ctx) — same operations in the same order, same
-// degenerate-input policy (see core/metrics.h). The scalar path stays the
-// single source of truth for semantics; the batch path is a faster
-// spelling of it, and the test suite asserts bitwise equality over
-// random and degenerate grids.
+// evaluate_all is a loop over compute_all_metrics, so batch equals scalar
+// by construction: compute_metric (core/metrics.cpp) is the only spelling
+// of each metric formula and of the degenerate-input policy.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -54,39 +42,18 @@ struct ConfusionBatch {
 [[nodiscard]] ConfusionBatch make_batch(std::span<const EvalContext> contexts,
                                         stats::Arena& arena);
 
-/// Batch metric kernels over a ConfusionBatch. The evaluator borrows an
-/// arena for rate-plane scratch; the caller controls its lifetime and
-/// resets it between batches.
-///
-/// Consecutive evaluate_metric calls on the SAME batch share the rate
-/// planes (TPR alone feeds ~10 metrics; a whole-catalogue sweep fills each
-/// plane once instead of once per metric). The cache is keyed by the
-/// batch's array identity, so an evaluator must be constructed after its
-/// batch and discarded before the arena is reset — exactly the lifetime
-/// every converted call site already uses.
+/// Whole-catalogue evaluation of a ConfusionBatch. The constructor keeps
+/// its arena parameter so existing callers compile unchanged; nothing is
+/// allocated from it.
 class BatchEvaluator {
  public:
-  explicit BatchEvaluator(stats::Arena& arena) noexcept : arena_(&arena) {}
-
-  /// out[i] = compute_metric(id, context i), bit-for-bit.
-  /// Throws std::invalid_argument when out.size() != batch.size.
-  void evaluate_metric(MetricId id, const ConfusionBatch& batch,
-                       std::span<double> out) const;
+  explicit BatchEvaluator(stats::Arena& /*arena*/) noexcept {}
 
   /// Full catalogue plane, row-major: out[i * kMetricCount + m] is metric
-  /// m (catalogue order) of context i — each row bitwise equal to
-  /// compute_all_metrics(context i). Shared rate planes are computed once
-  /// for the whole batch. Throws std::invalid_argument when
-  /// out.size() != batch.size * kMetricCount.
+  /// m (catalogue order) of context i, written by compute_all_metrics.
+  /// Throws std::invalid_argument when out.size() != batch.size *
+  /// kMetricCount.
   void evaluate_all(const ConfusionBatch& batch, std::span<double> out) const;
-
- private:
-  stats::Arena* arena_;
-  /// Lazily filled shared rate planes (tpr/fnr/tnr/fpr/ppv/npv) for the
-  /// batch identified by `cached_key_`/`cached_size_`.
-  mutable const std::uint64_t* cached_key_ = nullptr;
-  mutable std::size_t cached_size_ = 0;
-  mutable std::array<const double*, 6> planes_{};
 };
 
 }  // namespace vdbench::core

@@ -6,8 +6,9 @@
 // Every metric is computed from an EvalContext — the confusion matrix of a
 // benchmark run plus the scenario cost model and operational measurements.
 //
-// Degenerate-input policy (single source of truth; the scalar path here
-// and core::BatchEvaluator agree bit-for-bit, asserted by tests):
+// Degenerate-input policy (single source of truth: compute_metric is the
+// only spelling of each formula, and core::BatchEvaluator agrees with it
+// bit for bit because it calls compute_all_metrics):
 //  - Indeterminate 0/0 forms are NaN ("the benchmark gives no answer"):
 //    every basic rate whose denominator is empty (PPV with TP+FP == 0,
 //    TPR with no actual positives, ...), accuracy/error on an empty
@@ -144,13 +145,6 @@ struct MetricInfo {
 
 /// All metrics, in canonical catalogue order.
 [[nodiscard]] std::span<const MetricId> all_metrics();
-
-/// Position of a metric in the canonical catalogue order (the enum is
-/// declared in that order) — e.g. the column of this metric's values in a
-/// BatchEvaluator::evaluate_all plane.
-[[nodiscard]] constexpr std::size_t metric_index(MetricId id) noexcept {
-  return static_cast<std::size_t>(id);
-}
 
 /// Metrics that induce a quality ordering (direction != kNone); these are
 /// the candidates considered by scenario analysis and MCDA.

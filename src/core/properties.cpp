@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "core/batch.h"
 #include "core/sampling.h"
 #include "stats/arena.h"
 #include "stats/descriptive.h"
@@ -191,10 +190,9 @@ double PropertyAssessor::assess_discrimination(MetricId id,
   if (metric_info(id).direction == Direction::kNone) return 0.0;
   const std::size_t comparisons = config_.quality_gaps.size() * config_.trials;
   std::vector<stats::Rng> children = split_children(rng, comparisons);
-  // Sample both contexts of every comparison into SoA slots in parallel
-  // (pre-split Rngs keep the draws thread-count invariant), then score the
-  // whole 2*comparisons batch with one kernel pass per metric instead of
-  // one dispatch per matrix.
+  // Sample both contexts of every comparison into arena slots in parallel
+  // (pre-split Rngs keep the draws thread-count invariant), then score
+  // them in index order.
   stats::Arena& arena = stats::Arena::scratch();
   arena.reset();
   const std::span<EvalContext> contexts =
@@ -217,14 +215,12 @@ double PropertyAssessor::assess_discrimination(MetricId id,
     contexts[2 * k + 1] = make_abstract_context(cm_worse, config_.cost_fn,
                                                 config_.cost_fp);
   });
-  const ConfusionBatch batch = make_batch(contexts, arena);
-  const std::span<double> values =
-      arena.allocate_span<double>(2 * comparisons);
-  BatchEvaluator(arena).evaluate_metric(id, batch, values);
   double total = 0.0;  // fixed order: index 0..n-1
   for (std::size_t k = 0; k < comparisons; ++k) {
-    const double u_better = metric_utility(id, values[2 * k]);
-    const double u_worse = metric_utility(id, values[2 * k + 1]);
+    const double u_better =
+        metric_utility(id, compute_metric(id, contexts[2 * k]));
+    const double u_worse =
+        metric_utility(id, compute_metric(id, contexts[2 * k + 1]));
     if (!std::isfinite(u_better) || !std::isfinite(u_worse)) {
       total += 0.5;  // metric gives no answer
     } else if (u_better > u_worse) {
@@ -325,14 +321,12 @@ double PropertyAssessor::assess_stability(MetricId id,
     contexts[t] =
         make_abstract_context(cm, config_.cost_fn, config_.cost_fp);
   });
-  const ConfusionBatch batch = make_batch(contexts, arena);
-  const std::span<double> sampled =
-      arena.allocate_span<double>(config_.trials);
-  BatchEvaluator(arena).evaluate_metric(id, batch, sampled);
   std::vector<double> values;
   values.reserve(config_.trials);
-  for (const double v : sampled)
+  for (const EvalContext& ctx : contexts) {
+    const double v = compute_metric(id, ctx);
     if (std::isfinite(v)) values.push_back(v);
+  }
   if (values.size() < 2) return 0.0;
   double nsd;
   if (metric_bounded(id)) {
@@ -364,13 +358,9 @@ double PropertyAssessor::assess_definedness(MetricId id,
     contexts[t] =
         make_abstract_context(cm, config_.cost_fn, config_.cost_fp);
   });
-  const ConfusionBatch batch = make_batch(contexts, arena);
-  const std::span<double> sampled =
-      arena.allocate_span<double>(config_.trials);
-  BatchEvaluator(arena).evaluate_metric(id, batch, sampled);
   std::size_t defined = 0;
-  for (const double v : sampled)
-    if (std::isfinite(v)) ++defined;
+  for (const EvalContext& ctx : contexts)
+    if (std::isfinite(compute_metric(id, ctx))) ++defined;
   return static_cast<double>(defined) / static_cast<double>(config_.trials);
 }
 

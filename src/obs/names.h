@@ -41,10 +41,6 @@ inline constexpr const char* kFaultFire = "fault.fire";
 inline constexpr const char* kStudyStage1 = "study.stage1";
 inline constexpr const char* kStudyStage2 = "study.stage2";
 
-// Batch metric kernels (core/batch.cpp).
-inline constexpr const char* kBatchEvaluateMetric = "batch.evaluate_metric";
-inline constexpr const char* kBatchEvaluateAll = "batch.evaluate_all";
-
 // Streaming pipeline (stream/pipeline.cpp).
 inline constexpr const char* kStreamProduce = "stream.produce";
 inline constexpr const char* kStreamConsume = "stream.consume";
@@ -71,7 +67,7 @@ inline constexpr const char* kAllSpans[] = {
     kDriverExperiment,    kDriverAttempt,  kDriverManifest, kDriverExport,
     kDriverResume,        kExecutorTask,   kExecutorCancel, kCacheFetch,
     kCacheStore,          kCacheCorrupt,   kFaultFire,      kStudyStage1,
-    kStudyStage2,         kBatchEvaluateMetric, kBatchEvaluateAll,
+    kStudyStage2,
     kStreamProduce,       kStreamConsume,  kNetSession,     kNetReject,
     kNetDrain,            kCorpusParseSarif,    kCorpusParseManifest,
     kCorpusMatch,         kPhaseCacheReplay,    kPhaseCacheStore};

@@ -1,8 +1,8 @@
 // Bump allocator for per-batch scratch memory.
 //
-// The batch metric kernels (core::BatchEvaluator) and the bootstrap
+// The property assessor's parallel context fills and the bootstrap
 // resampling loop need short-lived arrays whose lifetime is one batch or
-// one call: SoA gathers, rate planes, resample buffers. Allocating them
+// one call: sampled contexts, resample buffers. Allocating them
 // from the general heap puts malloc/free on the hottest loops of the
 // study; the Arena instead hands out pointers from large blocks with a
 // single bump, and reclaims everything at once with reset().

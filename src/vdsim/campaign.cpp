@@ -5,8 +5,6 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "core/batch.h"
-#include "stats/arena.h"
 #include "stats/parallel.h"
 #include "stats/rank.h"
 
@@ -81,29 +79,13 @@ AgreementMatrix metric_agreement(const std::vector<core::MetricId>& metrics,
         run_benchmarks(tools, workload, costs, pop_rng);
 
     // Utility vector per metric; mark undefined populations per metric.
-    // The population's contexts are gathered once into a SoA batch (in the
-    // task's thread-local scratch arena) and the whole catalogue plane is
-    // computed in one evaluate_all sweep — per-metric columns are then
-    // read out of the plane instead of dispatching per (tool, metric).
-    stats::Arena& arena = stats::Arena::scratch();
-    arena.reset();
-    const std::span<core::EvalContext> contexts =
-        arena.allocate_span<core::EvalContext>(results.size());
-    for (std::size_t t = 0; t < results.size(); ++t)
-      contexts[t] = results[t].context;
-    const core::ConfusionBatch batch = core::make_batch(contexts, arena);
-    const core::BatchEvaluator evaluator(arena);
-    const std::span<double> plane = arena.allocate_span<double>(
-        results.size() * core::kMetricCount);
-    evaluator.evaluate_all(batch, plane);
     std::vector<std::vector<double>> utilities(metrics.size());
     std::vector<bool> defined(metrics.size(), true);
     for (std::size_t m = 0; m < metrics.size(); ++m) {
-      const std::size_t column = core::metric_index(metrics[m]);
       utilities[m].reserve(results.size());
       for (std::size_t t = 0; t < results.size(); ++t) {
-        const double value = plane[t * core::kMetricCount + column];
-        const double u = core::metric_utility(metrics[m], value);
+        const double u =
+            core::metric_utility(metrics[m], results[t].metric(metrics[m]));
         if (!std::isfinite(u)) defined[m] = false;
         utilities[m].push_back(u);
       }

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "core/batch.h"
 #include "stats/arena.h"
 #include "stats/descriptive.h"
 #include "stats/parallel.h"
@@ -60,28 +59,15 @@ SuiteResult run_suite(const std::vector<ToolProfile>& tools,
         run_benchmarks(tools, workload, config.costs, run_rng);
   });
 
-  // values[tool][metric][run], reduced in run order. Per tool, the runs
-  // are gathered into one SoA batch so every metric is a single kernel
-  // pass over the runs instead of a dispatch per (run, metric) pair.
+  // values[tool][metric][run], reduced in run order.
   std::vector<std::vector<std::vector<double>>> values(
       tools.size(), std::vector<std::vector<double>>(metrics.size()));
   std::vector<std::vector<std::size_t>> undefined(
       tools.size(), std::vector<std::size_t>(metrics.size(), 0));
-  stats::Arena& arena = stats::Arena::scratch();
   for (std::size_t t = 0; t < tools.size(); ++t) {
-    arena.reset();
-    const std::span<core::EvalContext> contexts =
-        arena.allocate_span<core::EvalContext>(config.runs);
-    for (std::size_t run = 0; run < config.runs; ++run)
-      contexts[run] = run_results[run][t].context;
-    const core::ConfusionBatch batch = core::make_batch(contexts, arena);
-    const core::BatchEvaluator evaluator(arena);
-    const std::span<double> run_values =
-        arena.allocate_span<double>(config.runs);
     for (std::size_t m = 0; m < metrics.size(); ++m) {
-      evaluator.evaluate_metric(metrics[m], batch, run_values);
       for (std::size_t run = 0; run < config.runs; ++run) {
-        const double v = run_values[run];
+        const double v = run_results[run][t].metric(metrics[m]);
         if (std::isfinite(v))
           values[t][m].push_back(v);
         else
@@ -93,6 +79,7 @@ SuiteResult run_suite(const std::vector<ToolProfile>& tools,
   SuiteResult suite;
   suite.config = config;
   suite.metrics = metrics;
+  stats::Arena& arena = stats::Arena::scratch();
   for (std::size_t t = 0; t < tools.size(); ++t) {
     ToolEstimates est;
     est.tool_name = tools[t].name;

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 namespace vdbench::core {
 namespace {
@@ -126,6 +128,9 @@ TEST(CompareAggregatesTest, ReportsAllFields) {
   EXPECT_GT(cmp.per_workload_stddev, 0.0);
   EXPECT_TRUE(std::isfinite(cmp.micro));
   EXPECT_TRUE(std::isfinite(cmp.macro));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(cmp.macro),
+            std::bit_cast<std::uint64_t>(macro_average(
+                MetricId::kPrecision, ctxs, UndefinedPolicy::kSkip)));
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
-// BatchEvaluator contract tests: bitwise scalar/batch equality over random
-// and degenerate grids, the documented degenerate-value policy, overflow
-// behaviour at billion-count scale, and the zero-allocation guarantee of a
-// warmed-up arena.
+// BatchEvaluator contract tests. evaluate_all is a loop over
+// compute_all_metrics, so these check that make_batch gathers every field
+// and that the plane's rows land where the layout says, bit for bit against
+// the scalar path over random, degenerate and edge grids. Also: the
+// documented degenerate-value policy, overflow behaviour at billion-count
+// scale, and the zero-allocation guarantee of a warmed-up arena.
 #include "core/batch.h"
 
 #include <gtest/gtest.h>
@@ -17,6 +19,7 @@
 #include "core/sampling.h"
 #include "stats/arena.h"
 #include "stats/rng.h"
+#include "support/propgen.h"
 
 // Global-allocation counter for the zero-allocation assertion. Sanitizer
 // builds keep the default operator new (ASan/TSan interpose their own and
@@ -91,7 +94,8 @@ EvalContext random_context(stats::Rng& rng) {
 }
 
 // Hand-picked degenerate corners: every zero-denominator family in the
-// policy table of core/metrics.h, with and without operational data.
+// policy table of core/metrics.h, with and without operational data, plus
+// the fixed edge matrices (all 0/1 cells, single-class benchmarks).
 std::vector<EvalContext> degenerate_corners() {
   std::vector<EvalContext> out;
   const auto add = [&](std::uint64_t tp, std::uint64_t fp, std::uint64_t tn,
@@ -101,11 +105,8 @@ std::vector<EvalContext> degenerate_corners() {
     out.push_back(bare);
     out.push_back(make_abstract_context(bare.cm, 5.0, 1.0));
   };
-  add(0, 0, 0, 0);                          // empty matrix
-  add(1, 0, 0, 0);                          // single-cell corners
-  add(0, 1, 0, 0);
-  add(0, 0, 1, 0);
-  add(0, 0, 0, 1);
+  for (const ConfusionMatrix& cm : testsupport::edge_confusions())
+    add(cm.tp, cm.fp, cm.tn, cm.fn);
   add(5, 0, 5, 0);                          // perfect detector
   add(0, 5, 0, 5);                          // perfectly wrong
   add(5, 5, 0, 0);                          // everything flagged
@@ -141,16 +142,6 @@ void expect_batch_matches_scalar(std::span<const EvalContext> contexts) {
           << "context " << i << " (" << contexts[i].cm.to_string()
           << ") metric " << metric_info(all_metrics()[m]).key << ": batch "
           << plane[i * kMetricCount + m] << " vs scalar " << scalar[m];
-    }
-  }
-
-  // Single-metric path must agree with the full plane too.
-  const std::span<double> column = arena.allocate_span<double>(contexts.size());
-  for (const MetricId id : all_metrics()) {
-    evaluator.evaluate_metric(id, batch, column);
-    for (std::size_t i = 0; i < contexts.size(); ++i) {
-      EXPECT_EQ(bits(column[i]), bits(compute_metric(id, contexts[i])))
-          << "context " << i << " metric " << metric_info(id).key;
     }
   }
 }
@@ -196,8 +187,6 @@ TEST(BatchEvaluatorTest, RejectsMismatchedOutputSizes) {
   const ConfusionBatch batch = make_batch(contexts, arena);
   const BatchEvaluator evaluator(arena);
   std::vector<double> wrong(4);
-  EXPECT_THROW(evaluator.evaluate_metric(MetricId::kMcc, batch, wrong),
-               std::invalid_argument);
   EXPECT_THROW(evaluator.evaluate_all(batch, wrong), std::invalid_argument);
 }
 
@@ -206,7 +195,6 @@ TEST(BatchEvaluatorTest, EmptyBatchIsANoOp) {
   const ConfusionBatch batch =
       make_batch(std::span<const EvalContext>{}, arena);
   const BatchEvaluator evaluator(arena);
-  evaluator.evaluate_metric(MetricId::kMcc, batch, {});
   evaluator.evaluate_all(batch, {});
 }
 
@@ -225,7 +213,7 @@ TEST(ComputeAllMetricsTest, OutParamOverloadMatchesVectorOverload) {
                std::invalid_argument);
 }
 
-// EvalContext counts are 64-bit and every kernel promotes to double (or
+// EvalContext counts are 64-bit and every formula promotes to double (or
 // sums in uint64) before arithmetic: billion-count matrices — far past the
 // 10^7-site scale of the largest configured study, and past 32-bit
 // overflow — must produce exact, finite values, identical in both paths.
@@ -282,12 +270,10 @@ TEST(BatchEvaluatorTest, WarmedUpBatchPathDoesNotTouchTheHeap) {
     const std::span<double> plane =
         arena.allocate_span<double>(contexts.size() * kMetricCount);
     evaluator.evaluate_all(batch, plane);
-    evaluator.evaluate_metric(MetricId::kMcc, batch,
-                              plane.subspan(0, contexts.size()));
     arena.reset();
   }
   EXPECT_EQ(g_allocation_count.load(std::memory_order_relaxed), allocs_before)
-      << "warmed-up make_batch/evaluate_* must be allocation-free";
+      << "warmed-up make_batch/evaluate_all must be allocation-free";
 }
 #endif
 

@@ -1,9 +1,11 @@
 // Property sweep over the degenerate-input policy of core/metrics.h: on
-// generated matrices biased toward zero-denominator corners, every metric
-// value is NaN, +inf or inside its declared range; the indeterminate-form
-// vs unbounded-ratio distinction holds; and the batch kernels reproduce
-// the scalar bits exactly. Runs under the smoke AND tsan labels so the
-// batch path also gets thread-sanitizer coverage.
+// generated matrices biased toward zero-denominator corners, and on the
+// fixed edge matrices of support/propgen.h, every metric value is NaN,
+// +inf or inside its declared range; the indeterminate-form vs
+// unbounded-ratio distinction holds; and the batch plane, a loop over
+// compute_all_metrics, reproduces the scalar bits. The property binary
+// carries the tsan label so the generator and the metric layer stay
+// thread-sanitizer-clean.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -50,8 +52,10 @@ ConfusionMatrix degenerate_confusion(PropGen& gen) {
 
 TEST(DegeneratePolicy, ValuesAreNanInfOrInDeclaredRange) {
   PropGen gen = PropGen::from_current_test();
-  for (std::size_t i = 0; i < kCases; ++i) {
-    const ConfusionMatrix cm = degenerate_confusion(gen);
+  std::vector<ConfusionMatrix> cases = testsupport::edge_confusions();
+  for (std::size_t i = 0; i < kCases; ++i)
+    cases.push_back(degenerate_confusion(gen));
+  for (const ConfusionMatrix& cm : cases) {
     const EvalContext ctx = context_of(cm);
     for (const MetricId id : all_metrics()) {
       const double v = compute_metric(id, ctx);

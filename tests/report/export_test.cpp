@@ -5,15 +5,6 @@
 namespace vdbench::report {
 namespace {
 
-core::StudyConfig fast_study_config() {
-  core::StudyConfig cfg;
-  cfg.assessment.trials = 40;
-  cfg.assessment.asymptotic_items = 50'000;
-  cfg.analyzer.pair_trials = 150;
-  cfg.scenarios = {core::builtin_scenario("s3_balanced")};
-  return cfg;
-}
-
 // Cheap structural checks: balanced braces/brackets and expected markers.
 void expect_balanced(const std::string& json) {
   long braces = 0, brackets = 0;
@@ -53,17 +44,6 @@ void expect_balanced(const std::string& json) {
   EXPECT_EQ(braces, 0);
   EXPECT_EQ(brackets, 0);
   EXPECT_FALSE(in_string);
-}
-
-TEST(StudyExportTest, ProducesBalancedDocumentWithAllSections) {
-  core::Study study(fast_study_config());
-  const std::string json = study_to_json(study);
-  expect_balanced(json);
-  for (const char* marker :
-       {"\"assessments\"", "\"scenarios\"", "\"recommendation\"",
-        "\"validation\"", "\"ranking_fidelity\"", "\"ahp_weights\"",
-        "\"s3_balanced\"", "\"mcc\"", "\"validated\""})
-    EXPECT_NE(json.find(marker), std::string::npos) << marker;
 }
 
 TEST(SuiteExportTest, ProducesBalancedDocument) {

@@ -1,4 +1,4 @@
-// Unit tests for the bump allocator backing the batch metric kernels.
+// Unit tests for the bump allocator behind the study's scratch arrays.
 #include "stats/arena.h"
 
 #include <gtest/gtest.h>

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "core/confusion.h"
 
@@ -89,5 +90,20 @@ class PropGen {
 
   std::uint64_t state_;
 };
+
+/// Fixed edge inputs for the degenerate-input policy: the 16 matrices whose
+/// cells are each 0 or 1, then a single actual positive (TP + FN == 1) and
+/// a single actual negative (FP + TN == 1), each among 1,000 sites.
+inline std::vector<core::ConfusionMatrix> edge_confusions() {
+  std::vector<core::ConfusionMatrix> out;
+  for (std::uint64_t cells = 0; cells < 16; ++cells)
+    out.push_back(core::ConfusionMatrix{.tp = cells & 1,
+                                        .fp = (cells >> 1) & 1,
+                                        .tn = (cells >> 2) & 1,
+                                        .fn = (cells >> 3) & 1});
+  out.push_back(core::ConfusionMatrix{.tp = 1, .fp = 40, .tn = 959, .fn = 0});
+  out.push_back(core::ConfusionMatrix{.tp = 960, .fp = 1, .tn = 0, .fn = 39});
+  return out;
+}
 
 }  // namespace vdbench::testsupport

@@ -20,10 +20,11 @@ namespace vdbench::bench {
 
 /// Canonical StageTimer phase names. Every experiment records its phases
 /// under these constants (never ad-hoc literals), so the driver's stage
-/// tables, BENCH_*.json baselines, --trace-out span names and the
-/// VDBENCH_PROF summary all agree on spelling — and the golden trace test
-/// can enumerate the legal span-name set from one place. Names ending in
-/// `Prefix` are completed with a parameter at the call site.
+/// tables, the run manifest's per-experiment stages, --trace-out span names
+/// and the VDBENCH_PROF summary all agree on spelling. Names ending in
+/// `Prefix` are completed with a parameter at the call site. kAllNames and
+/// kAllPrefixes list them all, so the golden trace test enumerates the
+/// legal span-name set from one place.
 namespace stage {
 inline constexpr const char* kCatalogue = "catalogue";              // e1
 inline constexpr const char* kStage1Assessment = "stage 1 assessment";
@@ -38,7 +39,6 @@ inline constexpr const char* kBenchmarkAggregate = "benchmark + aggregate";
 inline constexpr const char* kAgreementMatrix = "agreement matrix";  // e6
 inline constexpr const char* kNoiseSweep = "noise sweep";            // e9
 inline constexpr const char* kMethodAblation = "method ablation";    // e9
-inline constexpr const char* kMicrobenchmarks = "microbenchmarks";   // e10
 inline constexpr const char* kRocSweep = "ROC sweep";                // e11
 inline constexpr const char* kSuiteCampaign = "suite campaign";      // e13
 inline constexpr const char* kWeightSensitivity = "weight sensitivity";
@@ -56,6 +56,23 @@ inline constexpr const char* kCorpusSynthesize = "synthesize corpora";  // e19
 inline constexpr const char* kCorpusIntake = "corpus intake";        // e19
 inline constexpr const char* kCorpusRankings = "corpus rankings";    // e19
 inline constexpr const char* kCorpusExternal = "external corpus";    // e19
+
+/// Every exact stage name above, in declaration order.
+inline constexpr const char* kAllNames[] = {
+    kCatalogue,           kStage1Assessment,   kStage2Validation,
+    kPrevalenceSweep,     kGenerateWorkload,   kGenerateWorkloads,
+    kBenchmarkTools,      kBenchmarkAggregate, kAgreementMatrix,
+    kNoiseSweep,          kMethodAblation,     kRocSweep,
+    kSuiteCampaign,       kWeightSensitivity,  kPresetSummary,
+    kPerClassDetail,      kRender,             kBaseCorpusCohort,
+    kLowPrevalenceCohort, kChecksum,           kStreamEvaluate,
+    kStreamMetrics,       kCorpusSynthesize,   kCorpusIntake,
+    kCorpusRankings,      kCorpusExternal};
+
+/// Every `…Prefix` name above; a phase label that starts with one is legal.
+inline constexpr const char* kAllPrefixes[] = {
+    kStage2Prefix, kGridPrevalencePrefix, kPairAnalysisPrefix,
+    kPowerGridPrefix};
 }  // namespace stage
 
 void register_e1(cli::ExperimentRegistry& registry);
@@ -67,7 +84,6 @@ void register_e6(cli::ExperimentRegistry& registry);
 void register_e7(cli::ExperimentRegistry& registry);
 void register_e8(cli::ExperimentRegistry& registry);
 void register_e9(cli::ExperimentRegistry& registry);
-void register_e10(cli::ExperimentRegistry& registry);
 void register_e11(cli::ExperimentRegistry& registry);
 void register_e12(cli::ExperimentRegistry& registry);
 void register_e13(cli::ExperimentRegistry& registry);
@@ -89,8 +105,8 @@ void register_probe(cli::ExperimentRegistry& registry);
 /// contract against it.
 [[nodiscard]] vdsim::WorkloadSpec e17_corpus_spec();
 
-/// The stream E18 evaluates (full-size, 10^6 sites); exported so tests and
-/// the stream baseline binary run the identical configuration.
+/// The stream E18 evaluates (full-size, 10^6 sites); exported so tests run
+/// the identical configuration.
 [[nodiscard]] stream::StreamSpec e18_stream_spec();
 
 /// E18's workload-size checkpoints (one per decade).
@@ -101,7 +117,8 @@ void register_probe(cli::ExperimentRegistry& registry);
 /// manifests/reports and assert intake invariants against them.
 [[nodiscard]] std::vector<corpus::SyntheticCorpusSpec> e19_corpus_specs();
 
-/// The full study registry, E1–E19 in order.
+/// The full study registry, E1–E19 in order (E10 is retired; the other
+/// ids keep their numbers because cache keys name them).
 [[nodiscard]] cli::ExperimentRegistry study_registry();
 
 }  // namespace vdbench::bench

@@ -40,7 +40,6 @@ cli::ExperimentRegistry study_registry() {
   register_e7(registry);
   register_e8(registry);
   register_e9(registry);
-  register_e10(registry);
   register_e11(registry);
   register_e12(registry);
   register_e13(registry);

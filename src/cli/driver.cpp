@@ -24,7 +24,6 @@
 #include "report/json.h"
 #include "report/json_reader.h"
 #include "report/table.h"
-#include "stats/env.h"
 #include "stats/parallel.h"
 #include "stream/report_log.h"
 
@@ -134,34 +133,6 @@ void print_stage_table(const std::vector<stats::StageTimer::Stage>& stages,
                  report::format_percent(total == 0.0 ? 0.0 : 1.0, 1)});
   os << "stage timings (threads=" << threads << "):\n";
   table.print(os);
-}
-
-// One JSONL line per executed experiment when VDBENCH_TIMER_JSON names a
-// file — the same format the standalone benches used to append, plus the
-// cache outcome, so BENCH_*.json baselines keep assembling the same way.
-void append_timer_jsonl(const ExperimentOutcome& outcome,
-                        std::size_t threads) {
-  const std::optional<std::string> path =
-      stats::env_string("VDBENCH_TIMER_JSON");
-  if (!path) return;
-  report::JsonWriter json;
-  json.begin_object();
-  json.field("bench", outcome.id);
-  json.field("threads", static_cast<std::uint64_t>(threads));
-  json.field("cache", source_name(outcome.source));
-  json.key("stages").begin_array();
-  for (const stats::StageTimer::Stage& stage : outcome.stages) {
-    json.begin_object();
-    json.field("label", stage.label);
-    json.field("seconds", stage.seconds);
-    json.field("calls", static_cast<std::uint64_t>(stage.calls));
-    json.end_object();
-  }
-  json.end_array();
-  json.field("total_seconds", outcome.seconds);
-  json.end_object();
-  if (std::ofstream out(*path, std::ios::app); out)
-    out << json.str() << "\n";
 }
 
 bool write_text_file(const std::filesystem::path& path,
@@ -372,21 +343,6 @@ struct AttemptOutcome {
   std::vector<Artifact> artifacts;
 };
 
-// Cooperative stall for the injected `experiment.body=timeout` action:
-// blocks until the watchdog cancels, with a hard cap so an unsupervised
-// stall cannot wedge a run forever.
-void injected_hang() {
-  const auto start = std::chrono::steady_clock::now();
-  while (std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-             .count() < 5.0) {
-    if (stats::cancellation_requested()) throw stats::Cancelled();
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  throw fault::InjectedFault(
-      "injected experiment.body hang expired without cancellation");
-}
-
 // One compute attempt: fresh capture stream, fresh context. Attempts share
 // only the run's completed stage results (`study`), each a pure function of
 // the study config; a stage that failed mid-computation stored nothing. So
@@ -409,8 +365,7 @@ AttemptOutcome run_body(const Experiment& experiment,
         throw fault::InjectedFault("injected experiment.body fault for " +
                                    experiment.id);
       case fault::Action::kTimeout:
-        injected_hang();
-        break;
+        stats::stall_until_cancelled("experiment.body");
       case fault::Action::kNone:
         break;
     }
@@ -1058,7 +1013,6 @@ RunOutcome run_driver(const ExperimentRegistry& registry,
         print_stage_table(outcome.stages, threads, out);
       }
     }
-    append_timer_jsonl(outcome, threads);
     const bool failed = outcome.source == ExperimentOutcome::Source::kFailed;
     run.experiments.push_back(std::move(outcome));
 

@@ -95,9 +95,9 @@ struct Experiment {
   /// Serialized configuration: every parameter that determines the result.
   /// Together with (id, study seed, schema version) it forms the cache key.
   std::string config;
-  /// False for experiments whose output is inherently non-deterministic
-  /// (e10's wall-clock microbenchmarks); they always run fresh and are
-  /// excluded from the "all" selection.
+  /// False for experiments whose output must not be cached (the "probe"
+  /// fault-drill target); they always run fresh and are excluded from the
+  /// "all" selection.
   bool cacheable = true;
   std::function<void(ExperimentContext&)> run;
   /// True for experiments built on the streaming pipeline (src/stream).

@@ -1,9 +1,9 @@
 // Structure-of-arrays view of N evaluation contexts and a whole-catalogue
 // evaluator over it.
 //
-// The module remains for one reason: perfbench's kernel probe and e10's
-// google-benchmark case time the catalogue through a ConfusionBatch and
-// BatchEvaluator::evaluate_all, and the probe compares the plane with
+// The module remains for one reason: perfbench's kernel probe
+// (perfbench/src/probes.cpp) times the catalogue through a ConfusionBatch
+// and BatchEvaluator::evaluate_all, and compares the plane with
 // compute_all_metrics bit for bit. Every other caller uses compute_metric
 // or compute_all_metrics on the contexts it already holds.
 //

@@ -1,10 +1,10 @@
-// Shared VDBENCH_* environment-variable parsing.
+// Shared parsing of the VDBENCH_-prefixed environment variables.
 //
 // Every knob the harness reads from the environment (VDBENCH_THREADS,
-// VDBENCH_TIMER_JSON, VDBENCH_CACHE_DIR, VDBENCH_CACHE_MAX_BYTES) goes
-// through these helpers so the parsing rules — unset and empty both mean
-// "absent", malformed numbers are ignored rather than fatal — are defined
-// exactly once instead of per binary.
+// VDBENCH_CACHE_DIR, VDBENCH_CACHE_MAX_BYTES) goes through these helpers so
+// the parsing rules — unset and empty both mean "absent", malformed numbers
+// are ignored rather than fatal — are defined exactly once instead of per
+// binary.
 #pragma once
 
 #include <cstdint>

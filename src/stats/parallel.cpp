@@ -30,21 +30,6 @@ thread_local bool tl_inside_task = false;
 // a lock to observe cancellation.
 std::atomic<CancellationToken*> g_cancel_token{nullptr};
 
-// Cooperative stall for the injected `executor.task=timeout` action: blocks
-// until the watchdog cancels, with a hard cap so an unsupervised stall
-// cannot wedge a run forever.
-void injected_stall() {
-  const auto start = std::chrono::steady_clock::now();
-  while (std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-             .count() < 5.0) {
-    if (cancellation_requested()) throw Cancelled();
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  throw fault::InjectedFault(
-      "injected executor.task stall expired without cancellation");
-}
-
 // Every task funnels through here so the fault hook and its key discipline
 // (decimal task index, making schedules thread-count independent) exist in
 // exactly one place, and so every task shows up as one "executor.task"
@@ -61,8 +46,7 @@ void run_task(const std::function<void(std::size_t)>& fn, std::size_t i) {
         throw fault::InjectedFault("injected executor.task fault at index " +
                                    std::to_string(i));
       case fault::Action::kTimeout:
-        injected_stall();
-        break;
+        stall_until_cancelled("executor.task");
       default:
         break;
     }
@@ -85,6 +69,16 @@ bool cancellation_requested() noexcept {
   const CancellationToken* token =
       g_cancel_token.load(std::memory_order_relaxed);
   return token != nullptr && token->cancelled();
+}
+
+void stall_until_cancelled(std::string_view point) {
+  const auto start = std::chrono::steady_clock::now();
+  while (std::chrono::steady_clock::now() - start < std::chrono::seconds(5)) {
+    if (cancellation_requested()) throw Cancelled();
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  throw fault::InjectedFault("injected " + std::string(point) +
+                             " stall expired without cancellation");
 }
 
 struct ParallelExecutor::Impl {

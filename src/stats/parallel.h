@@ -30,6 +30,7 @@
 #include <functional>
 #include <memory>
 #include <stdexcept>
+#include <string_view>
 
 namespace vdbench::stats {
 
@@ -91,6 +92,13 @@ class ScopedCancellationToken {
 /// sections (experiment bodies between parallel loops) may poll this and
 /// throw Cancelled themselves to honour the watchdog faster.
 [[nodiscard]] bool cancellation_requested() noexcept;
+
+/// The stall behind an armed injector's `timeout` action at fault point
+/// `point` (executor.task, experiment.body, stream.produce, ...): polls
+/// cancellation_requested() every millisecond and throws Cancelled once the
+/// watchdog fires. The stall is capped at 5 s so an unsupervised one cannot
+/// wedge a run; past the cap it throws fault::InjectedFault.
+[[noreturn]] void stall_until_cancelled(std::string_view point);
 
 /// Fixed-size thread pool with an indexed fork-join primitive.
 class ParallelExecutor {

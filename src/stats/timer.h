@@ -1,11 +1,11 @@
-// Lightweight wall-clock instrumentation for experiment binaries.
+// Lightweight wall-clock instrumentation for experiments.
 //
 // A StageTimer accumulates named phases ("stage 1", "agreement matrix",
-// "export") measured with RAII scopes, so every bench binary can print a
-// per-phase timing table and emit a machine-readable baseline (BENCH_*.json)
-// that later PRs can compare against. Timing only observes the computation —
-// it never participates in it — so recorded results stay deterministic even
-// though the timings themselves are not.
+// "export") measured with RAII scopes. The driver prints them as each
+// experiment's stage table and records them in the run manifest's
+// per-experiment stages. Timing only observes the computation — it never
+// participates in it — so recorded results stay deterministic even though
+// the timings themselves are not.
 #pragma once
 
 #include <chrono>

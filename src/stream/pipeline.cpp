@@ -1,7 +1,6 @@
 #include "stream/pipeline.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -20,21 +19,6 @@ namespace vdbench::stream {
 
 namespace {
 
-// Mirror of the driver's injected_hang: a cooperative stall that honours
-// the watchdog's cancellation token, capped so an unwatched test cannot
-// wedge forever.
-[[noreturn]] void injected_stall(const char* point) {
-  const auto start = std::chrono::steady_clock::now();
-  while (std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-             .count() < 5.0) {
-    if (stats::cancellation_requested()) throw stats::Cancelled();
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  throw fault::InjectedFault(std::string("injected ") + point +
-                             " hang expired without cancellation");
-}
-
 void maybe_inject(const char* point, std::uint64_t chunk_index) {
   fault::Injector& injector = fault::Injector::global();
   if (!injector.armed()) return;
@@ -47,7 +31,7 @@ void maybe_inject(const char* point, std::uint64_t chunk_index) {
                                  " fault for chunk " +
                                  std::to_string(chunk_index));
     case fault::Action::kTimeout:
-      injected_stall(point);
+      stats::stall_until_cancelled(point);
     case fault::Action::kNone:
       break;
   }

@@ -1,8 +1,8 @@
-// Golden-file test for --trace-out: runs a real registry experiment
-// through the driver, then validates the emitted Chrome/Perfetto trace —
-// schema (ph/ts/pid/tid on every event), balanced B/E pairs per thread,
-// and every span name drawn from the documented set (driver seams,
-// executor tasks, cache operations, and the stage:: phase constants in
+// Golden-file test for --trace-out: runs real registry experiments (the
+// probe and E19) through the driver, then validates the emitted
+// Chrome/Perfetto trace — schema (ph/ts/pid/tid on every event), balanced
+// B/E pairs per thread, and every span name drawn from the documented set
+// (obs/names.h kAllSpans plus the stage:: kAllNames/kAllPrefixes tables in
 // bench/experiments.h). Also pins the manifest telemetry block's counter
 // inventory and the warm/cold byte-identity of --json-out with telemetry
 // present.
@@ -14,7 +14,7 @@
 #include <set>
 #include <sstream>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "cli/driver.h"
 #include "cli/experiment.h"
@@ -62,37 +62,26 @@ class TraceGoldenTest : public ::testing::Test {
   std::uint64_t tick_ = 0;
 };
 
-// The span-name registry (obs/names.h) plus the stage:: constants;
-// prefixes cover the parameterised phase labels ("stage 2: s1_default").
+// The span-name registry (obs/names.h) plus the stage:: tables; prefixes
+// cover the parameterised phase labels ("stage 2: s1_default").
 bool is_documented_name(const std::string& name) {
-  static const std::set<std::string> kExact = {
-      std::begin(obs::names::kAllSpans), std::end(obs::names::kAllSpans)};
-  static const std::set<std::string> kStages = {
-      bench::stage::kCatalogue, bench::stage::kStage1Assessment,
-      bench::stage::kStage2Validation, bench::stage::kPrevalenceSweep,
-      bench::stage::kGenerateWorkload, bench::stage::kGenerateWorkloads,
-      bench::stage::kBenchmarkTools, bench::stage::kBenchmarkAggregate,
-      bench::stage::kAgreementMatrix, bench::stage::kNoiseSweep,
-      bench::stage::kMethodAblation, bench::stage::kMicrobenchmarks,
-      bench::stage::kRocSweep, bench::stage::kSuiteCampaign,
-      bench::stage::kWeightSensitivity, bench::stage::kPresetSummary,
-      bench::stage::kPerClassDetail, bench::stage::kRender,
-      bench::stage::kBaseCorpusCohort, bench::stage::kLowPrevalenceCohort,
-      bench::stage::kChecksum, bench::stage::kStreamEvaluate,
-      bench::stage::kStreamMetrics};
-  if (kExact.contains(name) || kStages.contains(name)) return true;
-  static const std::vector<std::string> kPrefixes = {
-      bench::stage::kStage2Prefix, bench::stage::kGridPrevalencePrefix,
-      bench::stage::kPairAnalysisPrefix, bench::stage::kPowerGridPrefix};
-  for (const std::string& prefix : kPrefixes)
-    if (name.compare(0, prefix.size(), prefix) == 0) return true;
+  static const std::set<std::string> kExact = [] {
+    std::set<std::string> exact(std::begin(obs::names::kAllSpans),
+                                std::end(obs::names::kAllSpans));
+    exact.insert(std::begin(bench::stage::kAllNames),
+                 std::end(bench::stage::kAllNames));
+    return exact;
+  }();
+  if (kExact.contains(name)) return true;
+  for (const std::string_view prefix : bench::stage::kAllPrefixes)
+    if (name.starts_with(prefix)) return true;
   return false;
 }
 
 TEST_F(TraceGoldenTest, ProbeRunEmitsValidBalancedDocumentedTrace) {
   const ExperimentRegistry registry = bench::study_registry();
   DriverOptions options = base_options();
-  options.experiments = "probe";
+  options.experiments = "probe,e19";
   options.trace_out = (dir_ / "trace.json").string();
   std::ostringstream out;
   const RunOutcome outcome = run_driver(registry, options, out);
@@ -147,10 +136,11 @@ TEST_F(TraceGoldenTest, ProbeRunEmitsValidBalancedDocumentedTrace) {
   for (const auto& [tid, depth] : depth_by_tid)
     EXPECT_EQ(depth, 0) << "unbalanced B/E on tid " << tid;
 
-  // The probe run must actually hit the three layers the tracer claims to
-  // cover: the driver loop, the experiment's stage scope, and the executor.
+  // The run must actually hit the three layers the tracer claims to cover:
+  // the driver loop, the experiments' stage scopes, and the executor.
   EXPECT_TRUE(names.count("driver.experiment"));
   EXPECT_TRUE(names.count(bench::stage::kChecksum));
+  EXPECT_TRUE(names.count(bench::stage::kCorpusIntake));
   EXPECT_TRUE(names.count("executor.task"));
 }
 

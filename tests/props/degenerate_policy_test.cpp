@@ -2,19 +2,25 @@
 // generated matrices biased toward zero-denominator corners, and on the
 // fixed edge matrices of support/propgen.h, every metric value is NaN,
 // +inf or inside its declared range; the indeterminate-form vs
-// unbounded-ratio distinction holds; and the batch plane, a loop over
-// compute_all_metrics, reproduces the scalar bits. The property binary
-// carries the tsan label so the generator and the metric layer stay
-// thread-sanitizer-clean.
+// unbounded-ratio distinction holds; the batch plane, a loop over
+// compute_all_metrics, reproduces the scalar bits; and the streamed fold
+// (src/stream) gives back each edge matrix's counts and metric bits. The
+// property binary carries the tsan label so the generator and the metric
+// layer stay thread-sanitizer-clean.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
+#include <cstdint>
+#include <filesystem>
+#include <optional>
 #include <vector>
 
 #include "core/batch.h"
 #include "core/metrics.h"
 #include "stats/arena.h"
+#include "stream/record.h"
+#include "stream/report_log.h"
 #include "support/propgen.h"
 
 namespace vdbench::core {
@@ -135,6 +141,69 @@ TEST(DegeneratePolicy, BatchKernelsReproduceScalarBitsOnDegenerateGrid) {
           << metric_info(all_metrics()[m]).key;
     }
   }
+}
+
+// One matrix as site records: a TP is a seeded class claimed as itself, a
+// FN a seeded class left silent, a FP a claim on a clean site, and a TN a
+// clean site with no claim.
+stream::ReportChunk records_of(const ConfusionMatrix& cm) {
+  stream::ReportChunk chunk;
+  const auto add = [&chunk](std::uint64_t n, std::uint8_t truth,
+                            std::uint8_t claimed) {
+    for (std::uint64_t k = 0; k < n; ++k)
+      chunk.records.push_back(
+          {.service = 0,
+           .site = static_cast<std::uint32_t>(chunk.records.size()),
+           .truth = truth,
+           .claimed = claimed});
+  };
+  add(cm.tp, 0, 0);
+  add(cm.fn, 0, stream::kNoFinding);
+  add(cm.fp, stream::kCleanSite, 0);
+  add(cm.tn, stream::kCleanSite, stream::kNoFinding);
+  return chunk;
+}
+
+// Each edge matrix goes through a report log as one chunk frame (the
+// all-zero matrix as a 0-record frame) and is folded back with
+// stream::accumulate: same counts, same metric bits.
+TEST(DegeneratePolicy, StreamedFoldReproducesEdgeMatrices) {
+  const std::vector<ConfusionMatrix> matrices = testsupport::edge_confusions();
+  const std::filesystem::path log =
+      std::filesystem::temp_directory_path() / "vdprops_edge_fold.vdrlog";
+  {
+    stream::ReportLogWriter writer(log);
+    for (std::size_t i = 0; i < matrices.size(); ++i) {
+      writer.begin_segment(i);
+      writer.append(records_of(matrices[i]));
+    }
+    writer.close();
+  }
+
+  stream::ReportLogReader reader(log);
+  for (std::size_t i = 0; i < matrices.size(); ++i) {
+    const std::optional<stream::LogFrame> segment = reader.next();
+    ASSERT_TRUE(segment.has_value());
+    ASSERT_EQ(segment->kind, stream::LogFrame::Kind::kSegment);
+    EXPECT_EQ(segment->segment_tag, i);
+    const std::optional<stream::LogFrame> frame = reader.next();
+    ASSERT_TRUE(frame.has_value());
+    ASSERT_EQ(frame->kind, stream::LogFrame::Kind::kChunk);
+
+    ConfusionMatrix folded;
+    stream::accumulate(frame->chunk, folded);
+    EXPECT_EQ(folded, matrices[i]);
+    const std::vector<double> want =
+        compute_all_metrics(context_of(matrices[i]));
+    const std::vector<double> got = compute_all_metrics(context_of(folded));
+    for (std::size_t m = 0; m < kMetricCount; ++m) {
+      EXPECT_EQ(bits(got[m]), bits(want[m]))
+          << matrices[i].to_string() << " metric "
+          << metric_info(all_metrics()[m]).key;
+    }
+  }
+  EXPECT_FALSE(reader.next().has_value());
+  std::filesystem::remove(log);
 }
 
 }  // namespace

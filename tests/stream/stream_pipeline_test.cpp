@@ -2,8 +2,10 @@
 // prefix stability (the property that makes one checkpointed pass equal a
 // whole workload-size sweep), checkpoint handling, record→replay identity,
 // replay/spec mismatch rejection, cooperative cancellation, and typed
-// propagation of stream.produce / stream.consume injected faults. Lives in
-// the parallel test binary so the producer/consumer pair runs under tsan.
+// propagation of stream.produce / stream.consume injected faults. The
+// invariance and prefix checks also run E18's own stream at 10^5 sites.
+// Lives in the parallel test binary so the producer/consumer pair runs
+// under tsan.
 #include "stream/pipeline.h"
 
 #include <gtest/gtest.h>
@@ -13,8 +15,10 @@
 #include <filesystem>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "experiments.h"
 #include "fault/injector.h"
 #include "stats/parallel.h"
 
@@ -31,6 +35,13 @@ StreamSpec small_spec(std::uint64_t total_sites = 20'000) {
   spec.seed = 20150622;
   spec.chunk_sites = 1024;
   spec.queue_chunks = 4;
+  return spec;
+}
+
+// The stream E18 evaluates, cut to a size a unit test affords.
+StreamSpec e18_spec(std::uint64_t total_sites = 100'000) {
+  StreamSpec spec = bench::e18_stream_spec();
+  spec.total_sites = total_sites;
   return spec;
 }
 
@@ -53,23 +64,29 @@ class StreamPipelineTest : public ::testing::Test {
 };
 
 TEST_F(StreamPipelineTest, ResultIsInvariantToChunkSizeAndQueueDepth) {
-  StreamSpec coarse = small_spec();
-  coarse.chunk_sites = 8192;
-  coarse.queue_chunks = 8;
-  StreamSpec fine = small_spec();
-  fine.chunk_sites = 257;  // deliberately not a divisor of anything
-  fine.queue_chunks = 1;
-
-  const StreamResult a = stream_evaluate(coarse);
-  const StreamResult b = stream_evaluate(fine);
-  EXPECT_EQ(a.cm, b.cm);
-  EXPECT_EQ(a.sites, b.sites);
-  EXPECT_EQ(a.sites, coarse.total_sites);
-  // The stream exercised all four confusion cells at this size.
-  EXPECT_GT(a.cm.tp, 0u);
-  EXPECT_GT(a.cm.fp, 0u);
-  EXPECT_GT(a.cm.tn, 0u);
-  EXPECT_GT(a.cm.fn, 0u);
+  for (const StreamSpec& base : {small_spec(), e18_spec()}) {
+    SCOPED_TRACE(base.tool.name);
+    StreamSpec coarse = base;
+    coarse.chunk_sites = 8192;
+    coarse.queue_chunks = 8;
+    const StreamResult a = stream_evaluate(coarse);
+    // 257 is deliberately not a divisor of anything.
+    for (const auto& [chunk, queue] :
+         {std::pair<std::uint32_t, std::size_t>{1024, 2}, {257, 1}}) {
+      StreamSpec fine = base;
+      fine.chunk_sites = chunk;
+      fine.queue_chunks = queue;
+      const StreamResult b = stream_evaluate(fine);
+      EXPECT_EQ(a.cm, b.cm) << "chunk " << chunk << ", queue " << queue;
+      EXPECT_EQ(a.sites, b.sites) << "chunk " << chunk << ", queue " << queue;
+    }
+    EXPECT_EQ(a.sites, base.total_sites);
+    // The stream exercised all four confusion cells at this size.
+    EXPECT_GT(a.cm.tp, 0u);
+    EXPECT_GT(a.cm.fp, 0u);
+    EXPECT_GT(a.cm.tn, 0u);
+    EXPECT_GT(a.cm.fn, 0u);
+  }
 }
 
 TEST_F(StreamPipelineTest, RepeatedRunsAreBitIdentical) {
@@ -82,15 +99,21 @@ TEST_F(StreamPipelineTest, RepeatedRunsAreBitIdentical) {
 }
 
 TEST_F(StreamPipelineTest, CheckpointIsPrefixStableAcrossTotalSites) {
-  // The 10^4 checkpoint of a 2*10^4-site stream must equal a standalone
-  // 10^4-site stream: per-service seeding makes prefixes independent of
-  // the declared total.
+  // The 10^4 checkpoint of a larger stream (2*10^4 unit-tool sites, 10^5
+  // E18 sites) must equal a standalone 10^4-site stream: per-service
+  // seeding makes prefixes independent of the declared total.
   const std::vector<std::uint64_t> cps = {10'000};
-  const StreamResult large = stream_evaluate(small_spec(20'000), cps);
-  const StreamResult small = stream_evaluate(small_spec(10'000));
-  ASSERT_EQ(large.checkpoints.size(), 1u);
-  EXPECT_EQ(large.checkpoints[0].sites, 10'000u);
-  EXPECT_EQ(large.checkpoints[0].cm, small.cm);
+  for (const auto& [whole, prefix] :
+       {std::pair{small_spec(20'000), small_spec(10'000)},
+        std::pair{e18_spec(100'000), e18_spec(10'000)}}) {
+    SCOPED_TRACE(whole.tool.name);
+    const StreamResult large = stream_evaluate(whole, cps);
+    const StreamResult small = stream_evaluate(prefix);
+    ASSERT_EQ(large.checkpoints.size(), 1u);
+    EXPECT_EQ(large.checkpoints[0].sites, 10'000u);
+    EXPECT_EQ(large.checkpoints[0].cm, small.cm);
+    EXPECT_EQ(small.sites, 10'000u);
+  }
 }
 
 TEST_F(StreamPipelineTest, CheckpointsAreSortedDedupedAndClamped) {

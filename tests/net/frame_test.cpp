@@ -4,6 +4,7 @@
 
 #include <cstring>
 #include <string>
+#include <string_view>
 
 #include "fault/injector.h"
 
@@ -26,6 +27,53 @@ class FrameTest : public ::testing::Test {
   void SetUp() override { fault::Injector::global().disarm(); }
   void TearDown() override { fault::Injector::global().disarm(); }
 };
+
+// Bytes of the lowercase hex string `text` (even length, no separators).
+std::string from_hex(std::string_view text) {
+  std::string out;
+  for (std::size_t i = 0; i + 1 < text.size(); i += 2)
+    out.push_back(static_cast<char>(
+        std::stoi(std::string(text.substr(i, 2)), nullptr, 16)));
+  return out;
+}
+
+// The bytes of frame.h's layout, spelled out for one frame of each type:
+// magic, version, type, reserved u16, payload length u32 LE, the payload,
+// then the u64 LE FNV-1a of everything after the magic. The expected hex
+// was computed from the layout comment, not from the encoder, so a codec
+// that changed byte order or checksum coverage fails here even though its
+// own encoder and reader still agree.
+TEST_F(FrameTest, EncodesTheDocumentedBytes) {
+  struct Case {
+    FrameType type;
+    std::string payload;
+    std::string_view head_hex;     // magic .. length
+    std::string_view trailer_hex;  // checksum
+  };
+  const Case cases[] = {
+      {FrameType::kRequest, R"({"experiments":"e1"})",
+       "56444e46" "01" "01" "0000" "14000000", "87fcd8092003cea2"},
+      {FrameType::kProgress, "ok\n",
+       "56444e46" "01" "02" "0000" "03000000", "63bfacec5f60f6d5"},
+      {FrameType::kExport, "",
+       "56444e46" "01" "03" "0000" "00000000", "3568a612c8a3c4d9"},
+      {FrameType::kManifest, "{}",
+       "56444e46" "01" "04" "0000" "02000000", "ea877a26b8feefbb"},
+      {FrameType::kStatus, std::string(258, 's'),
+       "56444e46" "01" "05" "0000" "02010000", "b4f6cb64abb98918"},
+  };
+  for (const Case& c : cases) {
+    const std::string expected =
+        from_hex(c.head_hex) + c.payload + from_hex(c.trailer_hex);
+    EXPECT_EQ(encode_frame(c.type, c.payload), expected)
+        << "frame type " << static_cast<int>(c.type);
+    // The reader takes the documented bytes back to the same frame.
+    std::size_t pos = 0;
+    const Frame frame = read_frame(string_reader(expected, pos), kRoleClient);
+    EXPECT_EQ(frame.type, c.type);
+    EXPECT_EQ(frame.payload, c.payload);
+  }
+}
 
 TEST_F(FrameTest, RoundTripsEveryFrameType) {
   for (const FrameType type :

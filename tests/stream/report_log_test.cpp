@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace vdbench::stream {
@@ -78,6 +79,64 @@ class ReportLogTest : public ::testing::Test {
   fs::path dir_;
   fs::path path_;
 };
+
+// Lowercase hex of `bytes`, for readable byte-level comparisons.
+std::string hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const char ch : bytes) {
+    const auto byte = static_cast<unsigned char>(ch);
+    out.push_back(kDigits[byte >> 4]);
+    out.push_back(kDigits[byte & 0x0F]);
+  }
+  return out;
+}
+
+// The bytes of report_log.h's layout, spelled out: every integer field
+// little-endian and every frame closed by the u64 LE FNV-1a of its bytes.
+// The expected hex was computed from the layout comment, not from the
+// writer, so a codec that changed byte order or checksum coverage fails
+// here even though its own writer and reader still agree.
+TEST_F(ReportLogTest, WritesTheDocumentedBytes) {
+  ReportChunk two;
+  two.first_site = 0x1122334455667788ULL;
+  two.records.push_back({0x0A0B0C0Du, 0x00010203u, 3, kNoFinding});
+  two.records.push_back({1u, 0x00040000u, kCleanSite, 2});
+  ReportChunk empty;
+  empty.first_site = 0x0000000100000002ULL;
+  {
+    ReportLogWriter writer(path_);
+    writer.begin_segment(0x0102030405060708ULL);
+    writer.append(two);
+    writer.append(empty);
+    writer.close();
+  }
+  const std::string header =  // "VDRLOG01", version 1, reserved 0
+      "5644524c4f473031" "01000000" "00000000";
+  const std::string segment =  // type, tag, checksum
+      "01" "0807060504030201" "1454596f884e7b1b";
+  const std::string chunk =  // type, count, first site, 2 records, checksum
+      "02" "02000000" "8877665544332211"
+      "0d0c0b0a" "03020100" "03" "ff"
+      "01000000" "00000400" "ff" "02"
+      "2d3aab5a2be6c7a4";
+  const std::string empty_chunk =  // type, count 0, first site, checksum
+      "02" "00000000" "0200000001000000" "666a58bb9dae733a";
+  EXPECT_EQ(hex(slurp()), header + segment + chunk + empty_chunk);
+
+  // The reader takes the same bytes back to the same values.
+  ReportLogReader reader(path_);
+  std::optional<LogFrame> frame = reader.next();
+  ASSERT_TRUE(frame.has_value());
+  EXPECT_EQ(frame->segment_tag, 0x0102030405060708ULL);
+  frame = reader.next();
+  ASSERT_TRUE(frame.has_value());
+  EXPECT_EQ(frame->chunk, two);
+  frame = reader.next();
+  ASSERT_TRUE(frame.has_value());
+  EXPECT_EQ(frame->chunk, empty);
+  EXPECT_FALSE(reader.next().has_value());
+}
 
 TEST_F(ReportLogTest, RoundTripsSegmentsAndChunksExactly) {
   write_sample();

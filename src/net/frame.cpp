@@ -1,5 +1,6 @@
 #include "net/frame.h"
 
+#include "cache/bytes.h"
 #include "cache/hash.h"
 #include "fault/injector.h"
 #include "obs/registry.h"
@@ -7,37 +8,6 @@
 namespace vdbench::net {
 
 namespace {
-
-// Little-endian by construction, mirroring stream/report_log.cpp: the wire
-// bytes are identical on every platform.
-void put_u16(std::string& out, std::uint16_t v) {
-  out.push_back(static_cast<char>(v & 0xff));
-  out.push_back(static_cast<char>((v >> 8) & 0xff));
-}
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8)
-    out.push_back(static_cast<char>((v >> shift) & 0xff));
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8)
-    out.push_back(static_cast<char>((v >> shift) & 0xff));
-}
-
-std::uint32_t get_u32(const char* bytes) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i)
-    v = (v << 8) | static_cast<unsigned char>(bytes[i]);
-  return v;
-}
-
-std::uint64_t get_u64(const char* bytes) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i)
-    v = (v << 8) | static_cast<unsigned char>(bytes[i]);
-  return v;
-}
 
 constexpr char kMagic[4] = {'V', 'D', 'N', 'F'};
 // version + type + reserved + length — the checksummed fixed prefix.
@@ -51,17 +21,6 @@ bool known_type(std::uint8_t type) {
 
 }  // namespace
 
-std::string_view frame_type_name(FrameType type) noexcept {
-  switch (type) {
-    case FrameType::kRequest: return "request";
-    case FrameType::kProgress: return "progress";
-    case FrameType::kExport: return "export";
-    case FrameType::kManifest: return "manifest";
-    case FrameType::kStatus: return "status";
-  }
-  return "unknown";
-}
-
 std::string encode_frame(FrameType type, std::string_view payload) {
   if (payload.size() > kMaxPayloadBytes)
     throw TransportError("payload of " + std::to_string(payload.size()) +
@@ -72,12 +31,10 @@ std::string encode_frame(FrameType type, std::string_view payload) {
   wire.append(kMagic, sizeof(kMagic));
   wire.push_back(static_cast<char>(kWireVersion));
   wire.push_back(static_cast<char>(type));
-  put_u16(wire, 0);  // reserved
-  put_u32(wire, static_cast<std::uint32_t>(payload.size()));
+  cache::put_le(wire, std::uint16_t{0});  // reserved
+  cache::put_le(wire, static_cast<std::uint32_t>(payload.size()));
   wire.append(payload);
-  const std::uint64_t checksum =
-      cache::fnv1a64(std::string_view(wire).substr(sizeof(kMagic)));
-  put_u64(wire, checksum);
+  cache::put_checksum(wire, sizeof(kMagic));
   return wire;
 }
 
@@ -123,7 +80,7 @@ Frame read_frame(const ReadExactFn& read, std::string_view role) {
   read(header, sizeof(header));
   const auto version = static_cast<std::uint8_t>(header[0]);
   const auto raw_type = static_cast<std::uint8_t>(header[1]);
-  const std::uint32_t length = get_u32(header + 4);
+  const std::uint32_t length = cache::get_le<std::uint32_t>(header + 4);
   if (version != kWireVersion)
     throw FrameCorrupt("wire version " + std::to_string(version) +
                        " (expected " + std::to_string(kWireVersion) + ")");
@@ -136,7 +93,7 @@ Frame read_frame(const ReadExactFn& read, std::string_view role) {
   if (length > 0) read(body.data() + sizeof(header), length);
   char trailer[kChecksumBytes];
   read(trailer, sizeof(trailer));
-  std::uint64_t declared = get_u64(trailer);
+  std::uint64_t declared = cache::get_le<std::uint64_t>(trailer);
 
   // The net.frame point mangles the bytes AFTER they were received and
   // BEFORE validation — modelling a torn or bit-rotted frame that the

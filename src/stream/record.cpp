@@ -1,24 +1,8 @@
 #include "stream/record.h"
 
+#include "cache/bytes.h"
+
 namespace vdbench::stream {
-
-namespace {
-
-void put_u32(std::string& out, std::uint32_t v) {
-  out.push_back(static_cast<char>(v & 0xFF));
-  out.push_back(static_cast<char>((v >> 8) & 0xFF));
-  out.push_back(static_cast<char>((v >> 16) & 0xFF));
-  out.push_back(static_cast<char>((v >> 24) & 0xFF));
-}
-
-std::uint32_t get_u32(const char* p) {
-  const auto b = [p](std::size_t i) {
-    return static_cast<std::uint32_t>(static_cast<unsigned char>(p[i]));
-  };
-  return b(0) | (b(1) << 8) | (b(2) << 16) | (b(3) << 24);
-}
-
-}  // namespace
 
 void accumulate(const ReportChunk& chunk, core::ConfusionMatrix& cm) noexcept {
   for (const SiteRecord& record : chunk.records) accumulate(record, cm);
@@ -27,8 +11,8 @@ void accumulate(const ReportChunk& chunk, core::ConfusionMatrix& cm) noexcept {
 void encode_records(const std::vector<SiteRecord>& records, std::string& out) {
   out.reserve(out.size() + records.size() * kRecordBytes);
   for (const SiteRecord& record : records) {
-    put_u32(out, record.service);
-    put_u32(out, record.site);
+    cache::put_le(out, record.service);
+    cache::put_le(out, record.site);
     out.push_back(static_cast<char>(record.truth));
     out.push_back(static_cast<char>(record.claimed));
   }
@@ -42,8 +26,8 @@ bool decode_records(std::string_view bytes, std::vector<SiteRecord>& out) {
   const char* p = bytes.data();
   for (std::size_t i = 0; i < count; ++i, p += kRecordBytes) {
     SiteRecord record;
-    record.service = get_u32(p);
-    record.site = get_u32(p + 4);
+    record.service = cache::get_le<std::uint32_t>(p);
+    record.site = cache::get_le<std::uint32_t>(p + 4);
     record.truth = static_cast<std::uint8_t>(p[8]);
     record.claimed = static_cast<std::uint8_t>(p[9]);
     out.push_back(record);

@@ -10,8 +10,9 @@
 //            count * kRecordBytes payload, u64 FNV-1a checksum over
 //            (type, count, first_site, payload)
 //
-// All integers are little-endian by construction (byte-by-byte), so a log
-// recorded on any platform replays byte-identically on any other. Each
+// All integers are little-endian and every checksum is the frame's u64 LE
+// trailer (cache/bytes.h, shared with the wire frame of net/frame.h), so a
+// log recorded on any platform replays byte-identically on any other. Each
 // stream is one segment frame followed by its chunk frames; a file may hold
 // several segments back to back.
 //

@@ -329,12 +329,6 @@ double compute_metric(MetricId id, const EvalContext& ctx) {
   throw std::invalid_argument("compute_metric: unknown metric id");
 }
 
-std::vector<double> compute_all_metrics(const EvalContext& ctx) {
-  std::vector<double> out(kMetricCount);
-  compute_all_metrics(ctx, out);
-  return out;
-}
-
 void compute_all_metrics(const EvalContext& ctx, std::span<double> out) {
   if (out.size() != kMetricCount)
     throw std::invalid_argument(

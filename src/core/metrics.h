@@ -157,12 +157,10 @@ struct MetricInfo {
 /// this context (degenerate confusion counts or missing operational data).
 [[nodiscard]] double compute_metric(MetricId id, const EvalContext& ctx);
 
-/// Compute every catalogue metric for one context, in catalogue order.
-[[nodiscard]] std::vector<double> compute_all_metrics(const EvalContext& ctx);
-
-/// Allocation-free overload: fill `out` (size kMetricCount, catalogue
-/// order) in place. Hot loops pair this with a reused buffer or an arena
-/// span; throws std::invalid_argument when out.size() != kMetricCount.
+/// Compute every catalogue metric for one context into `out` (size
+/// kMetricCount, catalogue order), without allocating. Hot loops pair this
+/// with a reused buffer or an arena span; throws std::invalid_argument when
+/// out.size() != kMetricCount.
 void compute_all_metrics(const EvalContext& ctx, std::span<double> out);
 
 /// Map a metric value to a "higher is better" utility for ranking:

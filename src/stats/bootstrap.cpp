@@ -31,23 +31,6 @@ std::vector<double> replicate_statistics(std::span<const double> sample,
   return stats;
 }
 
-// Arena-backed twin of replicate_statistics: identical draws and values,
-// scratch buffers bump-allocated instead of heap-allocated.
-std::span<double> replicate_statistics_arena(std::span<const double> sample,
-                                             const Statistic& statistic,
-                                             Rng& rng, std::size_t replicates,
-                                             Arena& scratch) {
-  validate_bootstrap_inputs(sample, replicates);
-  const std::span<double> stats = scratch.allocate_span<double>(replicates);
-  const std::span<double> resample =
-      scratch.allocate_span<double>(sample.size());
-  for (std::size_t r = 0; r < replicates; ++r) {
-    for (double& x : resample) x = sample[rng.pick_index(sample.size())];
-    stats[r] = statistic(resample);
-  }
-  return stats;
-}
-
 }  // namespace
 
 ConfidenceInterval bootstrap_ci(std::span<const double> sample,
@@ -72,41 +55,6 @@ ConfidenceInterval bootstrap_mean_ci(std::span<const double> sample, Rng& rng,
   return bootstrap_ci(
       sample, [](std::span<const double> xs) { return mean(xs); }, rng,
       replicates, confidence);
-}
-
-double bootstrap_standard_error(std::span<const double> sample,
-                                const Statistic& statistic, Rng& rng,
-                                std::size_t replicates) {
-  const std::vector<double> stats =
-      replicate_statistics(sample, statistic, rng, replicates);
-  if (stats.size() < 2) return 0.0;
-  return stddev(stats);
-}
-
-ConfidenceInterval bootstrap_ci(std::span<const double> sample,
-                                const Statistic& statistic, Rng& rng,
-                                std::size_t replicates, double confidence,
-                                Arena& scratch) {
-  if (confidence <= 0.0 || confidence >= 1.0)
-    throw std::invalid_argument("bootstrap_ci: confidence must be in (0,1)");
-  scratch.reset();
-  const std::span<const double> stats =
-      replicate_statistics_arena(sample, statistic, rng, replicates, scratch);
-  const double alpha = 1.0 - confidence;
-  ConfidenceInterval ci;
-  ci.estimate = statistic(sample);
-  ci.lower = quantile(stats, alpha / 2.0);
-  ci.upper = quantile(stats, 1.0 - alpha / 2.0);
-  ci.confidence = confidence;
-  return ci;
-}
-
-ConfidenceInterval bootstrap_mean_ci(std::span<const double> sample, Rng& rng,
-                                     std::size_t replicates,
-                                     double confidence, Arena& scratch) {
-  return bootstrap_ci(
-      sample, [](std::span<const double> xs) { return mean(xs); }, rng,
-      replicates, confidence, scratch);
 }
 
 }  // namespace vdbench::stats

@@ -10,7 +10,6 @@
 #include <span>
 #include <vector>
 
-#include "stats/arena.h"
 #include "stats/rng.h"
 
 namespace vdbench::stats {
@@ -50,25 +49,5 @@ ConfidenceInterval bootstrap_ci(std::span<const double> sample,
 ConfidenceInterval bootstrap_mean_ci(std::span<const double> sample, Rng& rng,
                                      std::size_t replicates = 1000,
                                      double confidence = 0.95);
-
-/// Bootstrap estimate of the standard error of a statistic.
-double bootstrap_standard_error(std::span<const double> sample,
-                                const Statistic& statistic, Rng& rng,
-                                std::size_t replicates = 1000);
-
-/// Arena-scratch overloads for hot loops: value-identical to the
-/// heap-allocating versions (same Rng consumption, same arithmetic), with
-/// the replicate and resample buffers drawn from `scratch` instead of the
-/// heap. The arena is RESET on entry — callers must not hold live
-/// allocations from it across the call.
-ConfidenceInterval bootstrap_ci(std::span<const double> sample,
-                                const Statistic& statistic, Rng& rng,
-                                std::size_t replicates, double confidence,
-                                Arena& scratch);
-
-/// Convenience: arena-scratch bootstrap CI of the mean.
-ConfidenceInterval bootstrap_mean_ci(std::span<const double> sample, Rng& rng,
-                                     std::size_t replicates,
-                                     double confidence, Arena& scratch);
 
 }  // namespace vdbench::stats

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "stats/arena.h"
 #include "stats/descriptive.h"
 #include "stats/parallel.h"
 
@@ -79,7 +78,6 @@ SuiteResult run_suite(const std::vector<ToolProfile>& tools,
   SuiteResult suite;
   suite.config = config;
   suite.metrics = metrics;
-  stats::Arena& arena = stats::Arena::scratch();
   for (std::size_t t = 0; t < tools.size(); ++t) {
     ToolEstimates est;
     est.tool_name = tools[t].name;
@@ -91,7 +89,7 @@ SuiteResult run_suite(const std::vector<ToolProfile>& tools,
       if (!me.values.empty()) {
         me.ci = stats::bootstrap_mean_ci(me.values, boot_rng,
                                          config.bootstrap_replicates,
-                                         config.confidence, arena);
+                                         config.confidence);
       }
       est.metrics.push_back(std::move(me));
     }

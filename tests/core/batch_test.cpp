@@ -136,7 +136,8 @@ void expect_batch_matches_scalar(std::span<const EvalContext> contexts) {
       arena.allocate_span<double>(contexts.size() * kMetricCount);
   evaluator.evaluate_all(batch, plane);
   for (std::size_t i = 0; i < contexts.size(); ++i) {
-    const std::vector<double> scalar = compute_all_metrics(contexts[i]);
+    std::vector<double> scalar(kMetricCount);
+    compute_all_metrics(contexts[i], scalar);
     for (std::size_t m = 0; m < kMetricCount; ++m) {
       EXPECT_EQ(bits(plane[i * kMetricCount + m]), bits(scalar[m]))
           << "context " << i << " (" << contexts[i].cm.to_string()
@@ -196,21 +197,6 @@ TEST(BatchEvaluatorTest, EmptyBatchIsANoOp) {
       make_batch(std::span<const EvalContext>{}, arena);
   const BatchEvaluator evaluator(arena);
   evaluator.evaluate_all(batch, {});
-}
-
-TEST(ComputeAllMetricsTest, OutParamOverloadMatchesVectorOverload) {
-  stats::Rng rng(7);
-  for (std::size_t i = 0; i < 64; ++i) {
-    const EvalContext ctx = random_context(rng);
-    const std::vector<double> heap = compute_all_metrics(ctx);
-    std::vector<double> flat(kMetricCount);
-    compute_all_metrics(ctx, flat);
-    for (std::size_t m = 0; m < kMetricCount; ++m)
-      EXPECT_EQ(bits(flat[m]), bits(heap[m]));
-  }
-  std::vector<double> wrong(kMetricCount - 1);
-  EXPECT_THROW(compute_all_metrics(EvalContext{}, wrong),
-               std::invalid_argument);
 }
 
 // EvalContext counts are 64-bit and every formula promotes to double (or

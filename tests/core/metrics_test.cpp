@@ -4,7 +4,9 @@
 
 #include <cmath>
 #include <set>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/sampling.h"
 #include "stats/rng.h"
@@ -261,8 +263,8 @@ TEST(MetricRegistryTest, UtilityRespectsDirection) {
 
 TEST(MetricRegistryTest, ComputeAllMatchesIndividual) {
   const EvalContext ctx = canonical_context();
-  const std::vector<double> all = compute_all_metrics(ctx);
-  ASSERT_EQ(all.size(), kMetricCount);
+  std::vector<double> all(kMetricCount);
+  compute_all_metrics(ctx, all);
   for (std::size_t i = 0; i < all.size(); ++i) {
     const double single = compute_metric(all_metrics()[i], ctx);
     if (std::isnan(single))
@@ -270,6 +272,8 @@ TEST(MetricRegistryTest, ComputeAllMatchesIndividual) {
     else
       EXPECT_DOUBLE_EQ(all[i], single);
   }
+  std::vector<double> wrong(kMetricCount - 1);
+  EXPECT_THROW(compute_all_metrics(ctx, wrong), std::invalid_argument);
 }
 
 TEST(MetricRegistryTest, NamesAreDisplayable) {

@@ -134,7 +134,8 @@ TEST(DegeneratePolicy, BatchKernelsReproduceScalarBitsOnDegenerateGrid) {
       arena.allocate_span<double>(contexts.size() * kMetricCount);
   BatchEvaluator(arena).evaluate_all(batch, plane);
   for (std::size_t i = 0; i < contexts.size(); ++i) {
-    const std::vector<double> scalar = compute_all_metrics(contexts[i]);
+    std::vector<double> scalar(kMetricCount);
+    compute_all_metrics(contexts[i], scalar);
     for (std::size_t m = 0; m < kMetricCount; ++m) {
       EXPECT_EQ(bits(plane[i * kMetricCount + m]), bits(scalar[m]))
           << contexts[i].cm.to_string() << " metric "
@@ -193,9 +194,10 @@ TEST(DegeneratePolicy, StreamedFoldReproducesEdgeMatrices) {
     ConfusionMatrix folded;
     stream::accumulate(frame->chunk, folded);
     EXPECT_EQ(folded, matrices[i]);
-    const std::vector<double> want =
-        compute_all_metrics(context_of(matrices[i]));
-    const std::vector<double> got = compute_all_metrics(context_of(folded));
+    std::vector<double> want(kMetricCount);
+    compute_all_metrics(context_of(matrices[i]), want);
+    std::vector<double> got(kMetricCount);
+    compute_all_metrics(context_of(folded), got);
     for (std::size_t m = 0; m < kMetricCount; ++m) {
       EXPECT_EQ(bits(got[m]), bits(want[m]))
           << matrices[i].to_string() << " metric "

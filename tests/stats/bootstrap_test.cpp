@@ -80,23 +80,5 @@ TEST(BootstrapTest, RejectsBadArguments) {
   EXPECT_THROW(bootstrap_mean_ci(ok, rng, 100, 1.0), std::invalid_argument);
 }
 
-TEST(BootstrapTest, StandardErrorShrinksWithSampleSize) {
-  Rng rng(13);
-  const auto small = normal_sample(50, 0.0, 1.0, 14);
-  const auto large = normal_sample(5000, 0.0, 1.0, 15);
-  const Statistic stat = [](std::span<const double> xs) { return mean(xs); };
-  const double se_small = bootstrap_standard_error(small, stat, rng, 400);
-  const double se_large = bootstrap_standard_error(large, stat, rng, 400);
-  EXPECT_LT(se_large, se_small);
-}
-
-TEST(BootstrapTest, StandardErrorApproximatesAnalytic) {
-  const auto sample = normal_sample(1000, 0.0, 2.0, 16);
-  Rng rng(17);
-  const Statistic stat = [](std::span<const double> xs) { return mean(xs); };
-  const double se = bootstrap_standard_error(sample, stat, rng, 1000);
-  EXPECT_NEAR(se, standard_error(sample), 0.01);
-}
-
 }  // namespace
 }  // namespace vdbench::stats

@@ -26,15 +26,6 @@ constexpr int kFormatVersion = 1;
 constexpr std::string_view kEntryExtension = ".vdc";
 constexpr std::string_view kIndexName = "index.tsv";
 
-std::optional<std::string> read_file(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) return std::nullopt;
-  return std::move(buffer).str();
-}
-
 struct ParsedEntry {
   std::uint64_t digest = 0;
   std::string payload;
@@ -99,6 +90,15 @@ bool write_file_atomic(const std::filesystem::path& path,
   }
   obs::count(obs::Counter::kBytesWritten, content.size());
   return true;
+}
+
+std::optional<std::string> read_file(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return std::nullopt;
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  if (in.bad()) return std::nullopt;
+  return std::move(buffer).str();
 }
 
 std::uint64_t CacheKey::digest() const {
@@ -227,17 +227,10 @@ bool ResultCache::store(const CacheKey& key, std::string_view payload,
   }
   ++stats_.stores;
   obs::count(obs::Counter::kCacheStores);
-  obs::Registry::global().record(obs::Histogram::kPayloadBytes,
-                                 payload.size());
   evict_to_cap();
   save_index();
   sync_gauges();
   return true;
-}
-
-void ResultCache::remove(const CacheKey& key) {
-  erase_entry(key.digest(), false);
-  save_index();
 }
 
 std::filesystem::path ResultCache::resolve_dir(std::string_view explicit_dir) {

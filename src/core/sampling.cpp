@@ -15,14 +15,6 @@ void DetectorProfile::validate() const {
     throw std::invalid_argument("DetectorProfile: fallout in [0,1]");
 }
 
-bool DetectorProfile::dominates(const DetectorProfile& other) const noexcept {
-  const bool no_worse =
-      sensitivity >= other.sensitivity && fallout <= other.fallout;
-  const bool strictly_better =
-      sensitivity > other.sensitivity || fallout < other.fallout;
-  return no_worse && strictly_better;
-}
-
 ConfusionMatrix sample_confusion(const DetectorProfile& detector,
                                  double prevalence, std::uint64_t total,
                                  stats::Rng& rng) {

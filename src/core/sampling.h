@@ -24,10 +24,6 @@ struct DetectorProfile {
 
   /// Validates ranges; throws std::invalid_argument when out of [0,1].
   void validate() const;
-
-  /// True when this profile dominates `other` (>= sensitivity, <= fallout,
-  /// strictly better in at least one).
-  [[nodiscard]] bool dominates(const DetectorProfile& other) const noexcept;
 };
 
 /// Benchmark-run sampler: draws a confusion matrix for a detector on a

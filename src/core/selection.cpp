@@ -58,13 +58,6 @@ ScenarioAnalyzer::ScenarioAnalyzer(Config config) : config_(config) {
         "ScenarioAnalyzer: min_relative_cost_gap in [0,1)");
 }
 
-EffectivenessResult ScenarioAnalyzer::analyze_metric(const Scenario& scenario,
-                                                     MetricId metric,
-                                                     stats::Rng& rng) const {
-  const std::vector<MetricId> one = {metric};
-  return analyze(scenario, one, rng).front();
-}
-
 std::vector<EffectivenessResult> ScenarioAnalyzer::analyze(
     const Scenario& scenario, std::span<const MetricId> metrics,
     stats::Rng& rng) const {

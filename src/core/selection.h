@@ -55,11 +55,6 @@ class ScenarioAnalyzer {
 
   [[nodiscard]] const Config& config() const noexcept { return config_; }
 
-  /// Effectiveness of one metric in one scenario.
-  [[nodiscard]] EffectivenessResult analyze_metric(const Scenario& scenario,
-                                                   MetricId metric,
-                                                   stats::Rng& rng) const;
-
   /// Effectiveness of each given metric (catalogue order preserved).
   /// All metrics are evaluated on the *same* sampled tool pairs and
   /// benchmark outcomes so their fidelities are directly comparable.

@@ -95,12 +95,4 @@ const ValidationOutcome& Study::validation(std::string_view scenario_key) {
   return it->second;
 }
 
-bool Study::validated() {
-  for (const Scenario& s : scenarios_) {
-    const ValidationOutcome& outcome = validation(s.key);
-    if (!outcome.same_top || !outcome.ahp.acceptable()) return false;
-  }
-  return true;
-}
-
 }  // namespace vdbench::core

@@ -77,10 +77,6 @@ class Study {
   [[nodiscard]] const ValidationOutcome& validation(
       std::string_view scenario_key);
 
-  /// True when stage 3 agreed with the analytical top choice in every
-  /// scenario — the study's overall validation verdict.
-  [[nodiscard]] bool validated();
-
  private:
   const Scenario& find_scenario(std::string_view key) const;
 

@@ -181,11 +181,6 @@ std::uint64_t Injector::total_fired() const noexcept {
   return total_fired_.load(std::memory_order_relaxed);
 }
 
-std::vector<FaultRule> Injector::rules() const {
-  const core::MutexLock lock(mutex_);
-  return rules_;
-}
-
 Injector& Injector::global() {
   static Injector instance;
   return instance;

@@ -131,9 +131,6 @@ class Injector {
   /// mutate different bytes.
   [[nodiscard]] std::uint64_t total_fired() const noexcept;
 
-  /// Rules with their live hit/fired counters (snapshot).
-  [[nodiscard]] std::vector<FaultRule> rules() const;
-
   /// Parse without arming; the validation backend of arm().
   [[nodiscard]] static std::vector<FaultRule> parse(std::string_view spec);
 

@@ -47,35 +47,6 @@ std::vector<double> borda_scores(
   return scores;
 }
 
-std::vector<double> copeland_scores(
-    std::span<const std::vector<std::size_t>> rankings) {
-  const std::size_t n = common_size(rankings);
-  std::vector<std::vector<std::size_t>> positions;
-  positions.reserve(rankings.size());
-  for (const std::vector<std::size_t>& ranking : rankings)
-    positions.push_back(positions_of(ranking, n));
-  std::vector<double> scores(n, 0.0);
-  for (std::size_t a = 0; a < n; ++a) {
-    for (std::size_t b = a + 1; b < n; ++b) {
-      std::size_t a_wins = 0, b_wins = 0;
-      for (const std::vector<std::size_t>& pos : positions) {
-        if (pos[a] < pos[b])
-          ++a_wins;
-        else
-          ++b_wins;
-      }
-      if (a_wins > b_wins) {
-        scores[a] += 1.0;
-        scores[b] -= 1.0;
-      } else if (b_wins > a_wins) {
-        scores[b] += 1.0;
-        scores[a] -= 1.0;
-      }
-    }
-  }
-  return scores;
-}
-
 std::vector<std::size_t> ranking_from_scores(std::span<const double> scores) {
   std::vector<std::size_t> order(scores.size());
   std::iota(order.begin(), order.end(), std::size_t{0});

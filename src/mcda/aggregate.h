@@ -1,6 +1,6 @@
 // Rank aggregation across rankings (e.g. across MCDA methods or across
-// experts' individual orderings): Borda count, Copeland pairwise voting
-// and Kendall-distance diagnostics.
+// experts' individual orderings): Borda count and Kendall-distance
+// diagnostics.
 #pragma once
 
 #include <cstddef>
@@ -16,11 +16,6 @@ namespace vdbench::mcda {
 /// Borda scores: an alternative ranked r-th (0-based) in a ranking of n
 /// earns n-1-r points; totals across rankings, higher = better.
 [[nodiscard]] std::vector<double> borda_scores(
-    std::span<const std::vector<std::size_t>> rankings);
-
-/// Copeland scores: +1 for every alternative beaten in a pairwise majority
-/// contest, -1 for every alternative losing one, 0 for ties.
-[[nodiscard]] std::vector<double> copeland_scores(
     std::span<const std::vector<std::size_t>> rankings);
 
 /// Consensus ranking (best-first) from scores; ties broken by lower index.

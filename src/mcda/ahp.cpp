@@ -6,51 +6,11 @@
 
 namespace vdbench::mcda {
 
-namespace {
-
-void check_reciprocal(const stats::Matrix& m, double tolerance) {
-  if (!m.square())
-    throw std::invalid_argument("ComparisonMatrix: matrix must be square");
-  for (std::size_t i = 0; i < m.rows(); ++i) {
-    if (std::abs(m(i, i) - 1.0) > tolerance)
-      throw std::invalid_argument("ComparisonMatrix: diagonal must be 1");
-    for (std::size_t j = 0; j < m.cols(); ++j) {
-      if (m(i, j) <= 0.0)
-        throw std::invalid_argument("ComparisonMatrix: entries must be > 0");
-      if (std::abs(m(i, j) * m(j, i) - 1.0) > tolerance)
-        throw std::invalid_argument("ComparisonMatrix: not reciprocal");
-    }
-  }
-}
-
-}  // namespace
-
 ComparisonMatrix::ComparisonMatrix(std::size_t n)
     : m_(stats::Matrix::identity(n)) {
   if (n == 0) throw std::invalid_argument("ComparisonMatrix: size must be > 0");
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = 0; j < n; ++j) m_(i, j) = 1.0;
-}
-
-ComparisonMatrix::ComparisonMatrix(stats::Matrix m, double tolerance)
-    : m_(std::move(m)) {
-  check_reciprocal(m_, tolerance);
-}
-
-ComparisonMatrix ComparisonMatrix::from_priorities(
-    std::span<const double> weights) {
-  if (weights.empty())
-    throw std::invalid_argument("from_priorities: empty weights");
-  for (const double w : weights)
-    if (w <= 0.0)
-      throw std::invalid_argument("from_priorities: weights must be > 0");
-  ComparisonMatrix cm(weights.size());
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    for (std::size_t j = i + 1; j < weights.size(); ++j) {
-      cm.set_judgment(i, j, snap_to_saaty_scale(weights[i] / weights[j]));
-    }
-  }
-  return cm;
 }
 
 void ComparisonMatrix::set_judgment(std::size_t i, std::size_t j,

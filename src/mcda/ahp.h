@@ -26,16 +26,6 @@ class ComparisonMatrix {
   /// Identity judgments (everything equally important) of the given size.
   explicit ComparisonMatrix(std::size_t n);
 
-  /// Wrap an existing matrix; throws std::invalid_argument unless it is
-  /// square, positive and reciprocal within `tolerance`.
-  explicit ComparisonMatrix(stats::Matrix m, double tolerance = 1e-6);
-
-  /// Build from latent priority weights: entry (i,j) = w_i / w_j, snapped
-  /// to the closest value on the Saaty scale {1/9..1/2, 1, 2..9}. This is
-  /// the judgment a perfectly consistent expert with those priorities
-  /// would give. Throws on empty or non-positive weights.
-  static ComparisonMatrix from_priorities(std::span<const double> weights);
-
   [[nodiscard]] std::size_t size() const noexcept { return m_.rows(); }
   [[nodiscard]] double operator()(std::size_t i, std::size_t j) const {
     return m_(i, j);

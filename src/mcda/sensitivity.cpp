@@ -1,22 +1,11 @@
 #include "mcda/sensitivity.h"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
 #include <stdexcept>
 
 #include "mcda/aggregate.h"
 #include "mcda/weighted_sum.h"
 
 namespace vdbench::mcda {
-
-namespace {
-
-std::size_t winner(const std::vector<double>& scores) {
-  return ranking_from_scores(scores).front();
-}
-
-}  // namespace
 
 SensitivityResult weight_sensitivity(const stats::Matrix& scores,
                                      std::span<const double> weights,
@@ -52,39 +41,6 @@ SensitivityResult weight_sensitivity(const stats::Matrix& scores,
   result.mean_kendall_distance = distance_acc / static_cast<double>(trials);
   for (double& w : result.win_share) w /= static_cast<double>(trials);
   return result;
-}
-
-std::vector<double> critical_weight_factors(const stats::Matrix& scores,
-                                            std::span<const double> weights,
-                                            double limit) {
-  if (limit <= 1.0)
-    throw std::invalid_argument("critical_weight_factors: limit > 1");
-  const std::size_t baseline_top =
-      winner(weighted_sum_scores(scores, weights));
-  std::vector<double> factors(weights.size(),
-                              std::numeric_limits<double>::quiet_NaN());
-  std::vector<double> perturbed(weights.begin(), weights.end());
-  // Geometric grid of candidate factors, nearest-to-1 first so the first
-  // flip found is the smallest relative change.
-  std::vector<double> grid;
-  for (double f = 1.05; f <= limit; f *= 1.05) {
-    grid.push_back(f);
-    grid.push_back(1.0 / f);
-  }
-  std::sort(grid.begin(), grid.end(), [](double a, double b) {
-    return std::abs(std::log(a)) < std::abs(std::log(b));
-  });
-  for (std::size_t c = 0; c < weights.size(); ++c) {
-    for (const double f : grid) {
-      perturbed.assign(weights.begin(), weights.end());
-      perturbed[c] = weights[c] * f;
-      if (winner(weighted_sum_scores(scores, perturbed)) != baseline_top) {
-        factors[c] = f;
-        break;
-      }
-    }
-  }
-  return factors;
 }
 
 }  // namespace vdbench::mcda

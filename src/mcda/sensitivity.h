@@ -1,8 +1,8 @@
 // Weight-sensitivity analysis for MCDA rankings: how stable is the top
 // choice (and the full ordering) when the criteria weights are perturbed?
-// Standard MCDA practice before trusting a recommendation, and used by the
-// E9 ablation to show the validation conclusion is not a knife-edge
-// artifact of one weight vector.
+// Standard MCDA practice before trusting a recommendation, and used by E13
+// to show the recommendation is not a knife-edge artifact of one weight
+// vector.
 #pragma once
 
 #include <cstddef>
@@ -34,15 +34,5 @@ struct SensitivityResult {
 [[nodiscard]] SensitivityResult weight_sensitivity(
     const stats::Matrix& scores, std::span<const double> weights,
     double perturbation, std::size_t trials, stats::Rng& rng);
-
-/// Smallest relative change of one criterion's weight that flips the top
-/// choice under weighted-sum scoring, searched per criterion over
-/// multiplicative factors in [1/limit, limit]. Returns one factor per
-/// criterion (>1 = weight must grow, <1 = shrink, NaN = no flip within the
-/// limit). A large spread of non-flipping criteria means a robust
-/// recommendation.
-[[nodiscard]] std::vector<double> critical_weight_factors(
-    const stats::Matrix& scores, std::span<const double> weights,
-    double limit = 16.0);
 
 }  // namespace vdbench::mcda

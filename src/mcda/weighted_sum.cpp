@@ -1,6 +1,5 @@
 #include "mcda/weighted_sum.h"
 
-#include <cmath>
 #include <stdexcept>
 
 namespace vdbench::mcda {
@@ -17,27 +16,6 @@ std::vector<double> weighted_sum_scores(const stats::Matrix& scores,
     for (std::size_t c = 0; c < scores.cols(); ++c)
       acc += w[c] * scores(a, c);
     out[a] = acc;
-  }
-  return out;
-}
-
-std::vector<double> weighted_product_scores(const stats::Matrix& scores,
-                                            std::span<const double> weights) {
-  if (scores.cols() != weights.size())
-    throw std::invalid_argument(
-        "weighted_product_scores: one weight per criterion required");
-  const std::vector<double> w = stats::normalize_to_sum_one(weights);
-  std::vector<double> out(scores.rows(), 0.0);
-  for (std::size_t a = 0; a < scores.rows(); ++a) {
-    double log_acc = 0.0;
-    for (std::size_t c = 0; c < scores.cols(); ++c) {
-      const double s = scores(a, c);
-      if (s <= 0.0)
-        throw std::invalid_argument(
-            "weighted_product_scores: scores must be > 0");
-      log_acc += w[c] * std::log(s);
-    }
-    out[a] = std::exp(log_acc);
   }
   return out;
 }

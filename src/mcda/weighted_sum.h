@@ -1,5 +1,5 @@
-// Weighted-sum (WSM) and weighted-product (WPM) models — the simplest MCDA
-// baselines, used in the E9 method ablation.
+// Weighted-sum model (WSM) — the simplest MCDA baseline, used in the E9
+// method ablation and by the weight-sensitivity analysis.
 #pragma once
 
 #include <span>
@@ -13,12 +13,6 @@ namespace vdbench::mcda {
 /// normalised to comparable units (higher = better). Weights are
 /// normalised internally. Throws on dimension mismatch.
 [[nodiscard]] std::vector<double> weighted_sum_scores(
-    const stats::Matrix& scores, std::span<const double> weights);
-
-/// Weighted-product scores: prod_c scores(a, c)^w_c. All scores must be
-/// > 0 (WPM is undefined at zero); higher = better. Weights normalised
-/// internally. Throws on dimension mismatch or non-positive scores.
-[[nodiscard]] std::vector<double> weighted_product_scores(
     const stats::Matrix& scores, std::span<const double> weights);
 
 }  // namespace vdbench::mcda

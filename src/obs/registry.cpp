@@ -1,7 +1,5 @@
 #include "obs/registry.h"
 
-#include <bit>
-
 namespace vdbench::obs {
 
 std::string_view counter_name(Counter counter) noexcept {
@@ -52,33 +50,12 @@ std::string_view gauge_name(Gauge gauge) noexcept {
   return "unknown";
 }
 
-std::string_view histogram_name(Histogram histogram) noexcept {
-  switch (histogram) {
-    case Histogram::kPayloadBytes: return "payload.bytes";
-    case Histogram::kTaskBatch: return "task.batch";
-  }
-  return "unknown";
-}
-
 CounterSnapshot CounterSnapshot::since(const CounterSnapshot& earlier) const
     noexcept {
   CounterSnapshot delta;
   for (std::size_t i = 0; i < kCounterCount; ++i)
     delta.values[i] = values[i] - earlier.values[i];
   return delta;
-}
-
-void Registry::record(Histogram histogram, std::uint64_t v) noexcept {
-  const std::size_t b = static_cast<std::size_t>(std::bit_width(v));
-  histograms_[static_cast<std::size_t>(histogram)][b].fetch_add(
-      1, std::memory_order_relaxed);
-}
-
-std::uint64_t Registry::bucket(Histogram histogram,
-                               std::size_t b) const noexcept {
-  if (b >= kHistogramBuckets) return 0;
-  return histograms_[static_cast<std::size_t>(histogram)][b].load(
-      std::memory_order_relaxed);
 }
 
 CounterSnapshot Registry::snapshot() const noexcept {
@@ -91,8 +68,6 @@ CounterSnapshot Registry::snapshot() const noexcept {
 void Registry::reset() noexcept {
   for (auto& c : counters_) c.store(0, std::memory_order_relaxed);
   for (auto& g : gauges_) g.store(0, std::memory_order_relaxed);
-  for (auto& h : histograms_)
-    for (auto& b : h) b.store(0, std::memory_order_relaxed);
 }
 
 Registry& Registry::global() {

@@ -1,5 +1,5 @@
 // Runtime metrics for the vdbench harness: a lock-free registry of
-// counters, gauges and histograms every layer of the stack reports into.
+// counters and gauges every layer of the stack reports into.
 //
 // The registry exists so a study run can say *what happened* — cache hits
 // and corruptions, executor tasks, supervisor retries, fault firings,
@@ -73,19 +73,9 @@ enum class Gauge : std::size_t {
 };
 inline constexpr std::size_t kGaugeCount = 4;
 
-/// Log2-bucketed distributions: record(v) increments bucket bit_width(v),
-/// i.e. bucket b counts values in [2^(b-1), 2^b). Bucket 0 counts zeros.
-enum class Histogram : std::size_t {
-  kPayloadBytes,  ///< exported experiment payload sizes
-  kTaskBatch,     ///< parallel_for_indexed range sizes
-};
-inline constexpr std::size_t kHistogramCount = 2;
-inline constexpr std::size_t kHistogramBuckets = 65;
-
 /// Stable dotted export name, e.g. "cache.hits".
 [[nodiscard]] std::string_view counter_name(Counter counter) noexcept;
 [[nodiscard]] std::string_view gauge_name(Gauge gauge) noexcept;
-[[nodiscard]] std::string_view histogram_name(Histogram histogram) noexcept;
 
 /// All counter values at one instant, in enum order. Subtraction gives the
 /// delta a bounded region (one driver run) contributed.
@@ -125,11 +115,6 @@ class Registry {
         std::memory_order_relaxed);
   }
 
-  void record(Histogram histogram, std::uint64_t v) noexcept;
-  /// Count in bucket `b` of `histogram` (see Histogram for the bucketing).
-  [[nodiscard]] std::uint64_t bucket(Histogram histogram,
-                                     std::size_t b) const noexcept;
-
   [[nodiscard]] CounterSnapshot snapshot() const noexcept;
 
   /// Zero every instrument. Tests only — production code treats the
@@ -142,9 +127,6 @@ class Registry {
  private:
   std::array<std::atomic<std::uint64_t>, kCounterCount> counters_{};
   std::array<std::atomic<std::uint64_t>, kGaugeCount> gauges_{};
-  std::array<std::array<std::atomic<std::uint64_t>, kHistogramBuckets>,
-             kHistogramCount>
-      histograms_{};
 };
 
 /// Shorthand for Registry::global().add(counter, n).

@@ -29,13 +29,6 @@ void LineChart::set_y_range(double lo, double hi) {
   y_hi_ = hi;
 }
 
-void LineChart::set_size(std::size_t width, std::size_t height) {
-  if (width < 16 || height < 4)
-    throw std::invalid_argument("LineChart::set_size: too small");
-  width_ = width;
-  height_ = height;
-}
-
 void LineChart::add_series(Series series) {
   if (series.x.size() != series.y.size() || series.x.empty())
     throw std::invalid_argument("LineChart::add_series: bad series data");

@@ -26,8 +26,6 @@ class LineChart {
   void set_log_x(bool log_x) noexcept { log_x_ = log_x; }
   /// Fix the y-range instead of auto-scaling.
   void set_y_range(double lo, double hi);
-  /// Plot area size in characters.
-  void set_size(std::size_t width, std::size_t height);
 
   /// Add a series; throws std::invalid_argument on x/y length mismatch or
   /// empty data.

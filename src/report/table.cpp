@@ -16,12 +16,6 @@ Table::Table(std::vector<std::string> headers)
   aligns_.front() = Align::kLeft;
 }
 
-void Table::set_align(std::size_t column, Align align) {
-  if (column >= aligns_.size())
-    throw std::out_of_range("Table::set_align: bad column");
-  aligns_[column] = align;
-}
-
 void Table::add_row(std::vector<std::string> row) {
   if (row.size() != headers_.size())
     throw std::invalid_argument("Table::add_row: width mismatch");
@@ -59,28 +53,6 @@ void Table::print(std::ostream& os) const {
   print_rule();
   for (const std::vector<std::string>& row : rows_) print_row(row);
   print_rule();
-}
-
-void Table::print_csv(std::ostream& os) const {
-  const auto escape = [](const std::string& s) {
-    if (s.find_first_of(",\"\n") == std::string::npos) return s;
-    std::string out = "\"";
-    for (const char ch : s) {
-      if (ch == '"') out += "\"\"";
-      else out += ch;
-    }
-    out += '"';
-    return out;
-  };
-  const auto print_cells = [&](const std::vector<std::string>& cells) {
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      if (c) os << ',';
-      os << escape(cells[c]);
-    }
-    os << '\n';
-  };
-  print_cells(headers_);
-  for (const std::vector<std::string>& row : rows_) print_cells(row);
 }
 
 std::string format_value(double v, int precision) {

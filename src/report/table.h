@@ -1,6 +1,6 @@
-// Plain-text table rendering for experiment output. Every bench binary
-// prints its table/figure through this module so the regenerated artifacts
-// have a uniform, diffable format (and a CSV twin for downstream use).
+// Plain-text table rendering for experiment output. Every experiment
+// prints its tables through this module so the regenerated artifacts have
+// a uniform, diffable format.
 #pragma once
 
 #include <iosfwd>
@@ -19,9 +19,6 @@ class Table {
   /// column and right for the rest (typical label + numbers layout).
   explicit Table(std::vector<std::string> headers);
 
-  /// Override one column's alignment. Throws std::out_of_range.
-  void set_align(std::size_t column, Align align);
-
   /// Append a row; must match the header width. Throws otherwise.
   void add_row(std::vector<std::string> row);
 
@@ -32,9 +29,6 @@ class Table {
 
   /// Render with box-drawing separators.
   void print(std::ostream& os) const;
-
-  /// Render as CSV (RFC-4180 quoting for commas/quotes/newlines).
-  void print_csv(std::ostream& os) const;
 
  private:
   std::vector<std::string> headers_;

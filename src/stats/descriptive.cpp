@@ -32,22 +32,7 @@ double variance(std::span<const double> xs) {
   return acc / static_cast<double>(xs.size() - 1);
 }
 
-double population_variance(std::span<const double> xs) {
-  require_nonempty(xs, "population_variance");
-  const double m = mean(xs);
-  double acc = 0.0;
-  for (const double x : xs) acc += (x - m) * (x - m);
-  return acc / static_cast<double>(xs.size());
-}
-
 double stddev(std::span<const double> xs) { return std::sqrt(variance(xs)); }
-
-double coefficient_of_variation(std::span<const double> xs) {
-  const double m = mean(xs);
-  if (m == 0.0)
-    throw std::invalid_argument("coefficient_of_variation: zero mean");
-  return stddev(xs) / std::abs(m);
-}
 
 double min(std::span<const double> xs) {
   require_nonempty(xs, "min");
@@ -73,24 +58,6 @@ double quantile(std::span<const double> xs, double q) {
   const std::size_t hi = static_cast<std::size_t>(std::ceil(pos));
   const double frac = pos - static_cast<double>(lo);
   return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
-}
-
-double standard_error(std::span<const double> xs) {
-  return stddev(xs) / std::sqrt(static_cast<double>(xs.size()));
-}
-
-Summary summarize(std::span<const double> xs) {
-  require_nonempty(xs, "summarize");
-  Summary s;
-  s.n = xs.size();
-  s.mean = mean(xs);
-  s.stddev = xs.size() > 1 ? stddev(xs) : 0.0;
-  s.min = min(xs);
-  s.q25 = quantile(xs, 0.25);
-  s.median = median(xs);
-  s.q75 = quantile(xs, 0.75);
-  s.max = max(xs);
-  return s;
 }
 
 }  // namespace vdbench::stats

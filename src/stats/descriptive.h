@@ -18,14 +18,8 @@ double mean(std::span<const double> xs);
 /// Unbiased sample variance (divides by n-1). Throws if n < 2.
 double variance(std::span<const double> xs);
 
-/// Population variance (divides by n). Throws on empty input.
-double population_variance(std::span<const double> xs);
-
 /// Sample standard deviation. Throws if n < 2.
 double stddev(std::span<const double> xs);
-
-/// Coefficient of variation: stddev/|mean|. Throws if n < 2 or mean == 0.
-double coefficient_of_variation(std::span<const double> xs);
 
 /// Minimum. Throws on empty input.
 double min(std::span<const double> xs);
@@ -39,23 +33,5 @@ double median(std::span<const double> xs);
 /// Linear-interpolated quantile, q in [0, 1]. Throws on empty input or
 /// out-of-range q. quantile(xs, 0) == min, quantile(xs, 1) == max.
 double quantile(std::span<const double> xs, double q);
-
-/// Standard error of the mean: stddev / sqrt(n). Throws if n < 2.
-double standard_error(std::span<const double> xs);
-
-/// Full five-number-plus summary of a sample.
-struct Summary {
-  std::size_t n = 0;
-  double mean = 0.0;
-  double stddev = 0.0;  ///< 0 when n == 1
-  double min = 0.0;
-  double q25 = 0.0;
-  double median = 0.0;
-  double q75 = 0.0;
-  double max = 0.0;
-};
-
-/// Compute a Summary. Throws on empty input.
-Summary summarize(std::span<const double> xs);
 
 }  // namespace vdbench::stats

@@ -157,51 +157,6 @@ TestResult welch_t_test(std::span<const double> xs,
   return r;
 }
 
-TestResult sign_test(std::span<const double> xs, std::span<const double> ys) {
-  if (xs.size() != ys.size())
-    throw std::invalid_argument("sign_test: size mismatch");
-  std::size_t plus = 0, total = 0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    const double d = xs[i] - ys[i];
-    if (d == 0.0) continue;
-    ++total;
-    if (d > 0.0) ++plus;
-  }
-  if (total == 0)
-    throw std::invalid_argument("sign_test: all differences are zero");
-  // Exact two-sided binomial p-value, p = 1/2.
-  const std::size_t k = std::min<std::size_t>(plus, total - plus);
-  double p = 0.0;
-  for (std::size_t i = 0; i <= k; ++i) {
-    // C(total, i) / 2^total via log to avoid overflow.
-    const double log_term =
-        std::lgamma(static_cast<double>(total) + 1.0) -
-        std::lgamma(static_cast<double>(i) + 1.0) -
-        std::lgamma(static_cast<double>(total - i) + 1.0) -
-        static_cast<double>(total) * std::log(2.0);
-    p += std::exp(log_term);
-  }
-  TestResult r;
-  r.statistic = static_cast<double>(plus);
-  r.p_value = std::min(1.0, 2.0 * p);
-  // When plus == total - plus exactly, the two tails overlap fully.
-  if (plus * 2 == total) r.p_value = 1.0;
-  return r;
-}
-
-double cohens_d(std::span<const double> xs, std::span<const double> ys) {
-  if (xs.size() < 2 || ys.size() < 2)
-    throw std::invalid_argument("cohens_d: need n >= 2 per sample");
-  const double nx = static_cast<double>(xs.size());
-  const double ny = static_cast<double>(ys.size());
-  const double pooled =
-      ((nx - 1.0) * variance(xs) + (ny - 1.0) * variance(ys)) /
-      (nx + ny - 2.0);
-  if (pooled <= 0.0)
-    throw std::invalid_argument("cohens_d: zero pooled variance");
-  return (mean(xs) - mean(ys)) / std::sqrt(pooled);
-}
-
 double probability_of_superiority(std::span<const double> xs,
                                   std::span<const double> ys) {
   if (xs.empty() || ys.empty())

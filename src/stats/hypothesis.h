@@ -23,15 +23,6 @@ struct TestResult {
 TestResult welch_t_test(std::span<const double> xs,
                         std::span<const double> ys);
 
-/// Paired sign test: p-value that the median difference is zero, exact
-/// binomial two-sided. Pairs with zero difference are dropped.
-/// Throws on size mismatch or when all differences are zero.
-TestResult sign_test(std::span<const double> xs, std::span<const double> ys);
-
-/// Cohen's d effect size between two samples (pooled SD).
-/// Throws if either sample has n < 2 or pooled variance is zero.
-double cohens_d(std::span<const double> xs, std::span<const double> ys);
-
 /// Probability that a draw from xs exceeds a draw from ys
 /// (common-language effect size / A-statistic, ties count half).
 double probability_of_superiority(std::span<const double> xs,

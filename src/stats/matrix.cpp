@@ -46,42 +46,6 @@ double& Matrix::at(std::size_t r, std::size_t c) {
   return data_[r * cols_ + c];
 }
 
-double Matrix::at(std::size_t r, std::size_t c) const {
-  if (r >= rows_ || c >= cols_)
-    throw std::out_of_range("Matrix::at: index out of range");
-  return data_[r * cols_ + c];
-}
-
-std::vector<double> Matrix::row(std::size_t r) const {
-  if (r >= rows_) throw std::out_of_range("Matrix::row: out of range");
-  return std::vector<double>(data_.begin() + static_cast<long>(r * cols_),
-                             data_.begin() +
-                                 static_cast<long>((r + 1) * cols_));
-}
-
-std::vector<double> Matrix::column(std::size_t c) const {
-  if (c >= cols_) throw std::out_of_range("Matrix::column: out of range");
-  std::vector<double> out(rows_);
-  for (std::size_t r = 0; r < rows_; ++r) out[r] = (*this)(r, c);
-  return out;
-}
-
-Matrix Matrix::multiply(const Matrix& other) const {
-  if (cols_ != other.rows_)
-    throw std::invalid_argument("Matrix::multiply: dimension mismatch");
-  Matrix out(rows_, other.cols_, 0.0);
-  for (std::size_t i = 0; i < rows_; ++i) {
-    for (std::size_t k = 0; k < cols_; ++k) {
-      const double a = (*this)(i, k);
-      if (a == 0.0) continue;
-      for (std::size_t j = 0; j < other.cols_; ++j) {
-        out(i, j) += a * other(k, j);
-      }
-    }
-  }
-  return out;
-}
-
 std::vector<double> Matrix::multiply(std::span<const double> vec) const {
   if (cols_ != vec.size())
     throw std::invalid_argument("Matrix::multiply(vec): dimension mismatch");
@@ -92,20 +56,6 @@ std::vector<double> Matrix::multiply(std::span<const double> vec) const {
     out[i] = acc;
   }
   return out;
-}
-
-Matrix Matrix::transposed() const {
-  Matrix out(cols_, rows_, 0.0);
-  for (std::size_t i = 0; i < rows_; ++i)
-    for (std::size_t j = 0; j < cols_; ++j) out(j, i) = (*this)(i, j);
-  return out;
-}
-
-bool Matrix::approx_equal(const Matrix& other, double eps) const {
-  if (rows_ != other.rows_ || cols_ != other.cols_) return false;
-  for (std::size_t i = 0; i < data_.size(); ++i)
-    if (std::abs(data_[i] - other.data_[i]) > eps) return false;
-  return true;
 }
 
 EigenResult principal_eigenpair(const Matrix& m, std::size_t max_iterations,

@@ -1,6 +1,6 @@
 // Small dense matrix with the linear algebra the MCDA layer needs:
-// multiplication, transpose, row/column access, and the principal
-// eigenpair via power iteration (used by AHP priority-vector extraction).
+// matrix-vector products and the principal eigenpair via power iteration
+// (used by AHP priority-vector extraction).
 //
 // Sizes in this library are tiny (criteria/alternative counts, typically
 // < 40), so a straightforward row-major std::vector<double> layout is the
@@ -36,25 +36,10 @@ class Matrix {
 
   /// Checked element access; throws std::out_of_range.
   double& at(std::size_t r, std::size_t c);
-  [[nodiscard]] double at(std::size_t r, std::size_t c) const;
-
-  /// A copy of row r.
-  [[nodiscard]] std::vector<double> row(std::size_t r) const;
-  /// A copy of column c.
-  [[nodiscard]] std::vector<double> column(std::size_t c) const;
-
-  /// Matrix product; throws on dimension mismatch.
-  [[nodiscard]] Matrix multiply(const Matrix& other) const;
 
   /// Matrix-vector product; throws on dimension mismatch.
   [[nodiscard]] std::vector<double> multiply(
       std::span<const double> vec) const;
-
-  /// Transposed copy.
-  [[nodiscard]] Matrix transposed() const;
-
-  /// True when every element differs by at most eps.
-  [[nodiscard]] bool approx_equal(const Matrix& other, double eps) const;
 
   /// Raw storage (row-major).
   [[nodiscard]] std::span<const double> data() const noexcept { return data_; }

@@ -214,8 +214,6 @@ std::size_t ParallelExecutor::thread_count() const noexcept {
 void ParallelExecutor::parallel_for_indexed(
     std::size_t n, const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
-  obs::Registry::global().record(obs::Histogram::kTaskBatch,
-                                 static_cast<std::uint64_t>(n));
 
   // Serial fallback: single-thread pool, tiny range, or a nested call from
   // inside a task (the fixed pool must not wait on itself). Runs the exact

@@ -7,8 +7,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "stats/descriptive.h"
-
 namespace vdbench::stats {
 
 namespace {
@@ -37,27 +35,6 @@ void require_paired(std::span<const double> xs, std::span<const double> ys,
 
 }  // namespace
 
-std::vector<double> average_ranks(std::span<const double> xs) {
-  require_finite(xs, "average_ranks");
-  const std::size_t n = xs.size();
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) { return xs[a] < xs[b]; });
-  std::vector<double> ranks(n, 0.0);
-  std::size_t i = 0;
-  while (i < n) {
-    std::size_t j = i;
-    while (j + 1 < n && xs[order[j + 1]] == xs[order[i]]) ++j;
-    // Positions i..j (0-based) share the tied value; average 1-based rank.
-    const double avg =
-        (static_cast<double>(i) + static_cast<double>(j)) / 2.0 + 1.0;
-    for (std::size_t k = i; k <= j; ++k) ranks[order[k]] = avg;
-    i = j + 1;
-  }
-  return ranks;
-}
-
 std::vector<std::size_t> order_descending(std::span<const double> xs) {
   require_finite(xs, "order_descending");
   std::vector<std::size_t> order(xs.size());
@@ -65,30 +42,6 @@ std::vector<std::size_t> order_descending(std::span<const double> xs) {
   std::stable_sort(order.begin(), order.end(),
                    [&](std::size_t a, std::size_t b) { return xs[a] > xs[b]; });
   return order;
-}
-
-double pearson(std::span<const double> xs, std::span<const double> ys) {
-  require_paired(xs, ys, "pearson");
-  const double mx = mean(xs);
-  const double my = mean(ys);
-  double sxy = 0.0, sxx = 0.0, syy = 0.0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    const double dx = xs[i] - mx;
-    const double dy = ys[i] - my;
-    sxy += dx * dy;
-    sxx += dx * dx;
-    syy += dy * dy;
-  }
-  if (sxx == 0.0 || syy == 0.0)
-    throw std::invalid_argument("pearson: zero variance input");
-  return sxy / std::sqrt(sxx * syy);
-}
-
-double spearman(std::span<const double> xs, std::span<const double> ys) {
-  require_paired(xs, ys, "spearman");
-  const std::vector<double> rx = average_ranks(xs);
-  const std::vector<double> ry = average_ranks(ys);
-  return pearson(rx, ry);
 }
 
 double kendall_tau(std::span<const double> xs, std::span<const double> ys) {

@@ -1,9 +1,9 @@
-// Ranking utilities and rank-correlation coefficients.
+// Ranking utilities and rank agreement.
 //
 // The metric-selection study compares the *orderings* that different metrics
 // induce over a set of tools: two metrics "agree" on a scenario when they
-// rank tools the same way. Kendall's tau-b and Spearman's rho (both
-// tie-aware) are the agreement measures used throughout the experiments.
+// rank tools the same way. Kendall's tau-b (tie-aware) is the agreement
+// measure the experiments use, with top-k overlap and the top choice.
 #pragma once
 
 #include <cstddef>
@@ -12,24 +12,10 @@
 
 namespace vdbench::stats {
 
-/// Fractional ranks (1-based, ties receive the average of their positions).
-/// Larger value -> larger rank. E.g. {10, 20, 20} -> {1, 2.5, 2.5}.
-/// Throws std::invalid_argument on non-finite input (NaN/±inf would break
-/// the strict weak ordering the tie-grouping sort relies on).
-std::vector<double> average_ranks(std::span<const double> xs);
-
 /// Ordering of indices that sorts xs descending (best-first for
 /// higher-is-better scores). Stable: ties keep input order.
 /// Throws std::invalid_argument on non-finite input.
 std::vector<std::size_t> order_descending(std::span<const double> xs);
-
-/// Pearson product-moment correlation. Throws if sizes differ, n < 2,
-/// any value is non-finite, or either sample has zero variance.
-double pearson(std::span<const double> xs, std::span<const double> ys);
-
-/// Spearman's rank correlation (tie-aware, via Pearson on average ranks).
-/// Throws if sizes differ, n < 2, or any value is non-finite.
-double spearman(std::span<const double> xs, std::span<const double> ys);
 
 /// Kendall's tau-b rank correlation (tie-aware).
 /// Returns a value in [-1, 1]; 1 for identical orderings, -1 for reversed.

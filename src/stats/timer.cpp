@@ -19,12 +19,6 @@ void StageTimer::record(const std::string& label, double seconds) {
   stages_.push_back(Stage{label, seconds, 1});
 }
 
-double StageTimer::total_seconds() const noexcept {
-  double total = 0.0;
-  for (const Stage& s : stages_) total += s.seconds;
-  return total;
-}
-
 void StageTimer::stop(const Scope& scope) {
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -

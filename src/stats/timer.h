@@ -71,9 +71,6 @@ class StageTimer {
     return stages_;
   }
 
-  /// Sum of all recorded stage durations.
-  [[nodiscard]] double total_seconds() const noexcept;
-
  private:
   void stop(const Scope& scope);
 

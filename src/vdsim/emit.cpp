@@ -250,12 +250,4 @@ SourceFile CodeEmitter::emit_service(std::size_t service_index) const {
   return file;
 }
 
-std::vector<SourceFile> CodeEmitter::emit_all() const {
-  std::vector<SourceFile> files;
-  files.reserve(workload_->services().size());
-  for (std::size_t s = 0; s < workload_->services().size(); ++s)
-    files.push_back(emit_service(s));
-  return files;
-}
-
 }  // namespace vdbench::vdsim

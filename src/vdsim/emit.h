@@ -65,10 +65,6 @@ class CodeEmitter {
   /// Render one service. Throws std::out_of_range on a bad index.
   [[nodiscard]] SourceFile emit_service(std::size_t service_index) const;
 
-  /// Render every service, in service order (serial; the sast adapter
-  /// parallelises per service instead).
-  [[nodiscard]] std::vector<SourceFile> emit_all() const;
-
  private:
   const Workload* workload_;
 };

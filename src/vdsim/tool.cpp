@@ -85,20 +85,6 @@ void ToolProfile::validate() const {
     throw std::invalid_argument("ToolProfile: startup_seconds >= 0");
 }
 
-double ToolProfile::mean_sensitivity(const PerClass<double>& mix) const {
-  double mix_sum = 0.0;
-  double acc = 0.0;
-  for (std::size_t c = 0; c < kVulnClassCount; ++c) {
-    if (mix[c] < 0.0)
-      throw std::invalid_argument("mean_sensitivity: mix must be >= 0");
-    acc += mix[c] * sensitivity[c];
-    mix_sum += mix[c];
-  }
-  if (mix_sum <= 0.0)
-    throw std::invalid_argument("mean_sensitivity: mix all zero");
-  return acc / mix_sum;
-}
-
 ToolReport run_tool(const ToolProfile& tool, const Workload& workload,
                     stats::Rng& rng) {
   tool.validate();

@@ -48,10 +48,6 @@ struct ToolProfile {
 
   /// Throws std::invalid_argument on out-of-range fields.
   void validate() const;
-
-  /// Sensitivity averaged over a class mix (e.g. a workload's); the
-  /// abstract single-number sensitivity of this tool on such workloads.
-  [[nodiscard]] double mean_sensitivity(const PerClass<double>& mix) const;
 };
 
 /// One reported finding.

@@ -59,32 +59,4 @@ std::string_view vuln_class_cwe(VulnClass c) {
   return "?";
 }
 
-std::string_view severity_name(Severity s) {
-  switch (s) {
-    case Severity::kLow:
-      return "low";
-    case Severity::kMedium:
-      return "medium";
-    case Severity::kHigh:
-      return "high";
-    case Severity::kCritical:
-      return "critical";
-  }
-  return "?";
-}
-
-double severity_weight(Severity s) {
-  switch (s) {
-    case Severity::kLow:
-      return 1.0;
-    case Severity::kMedium:
-      return 2.0;
-    case Severity::kHigh:
-      return 4.0;
-    case Severity::kCritical:
-      return 8.0;
-  }
-  return 0.0;
-}
-
 }  // namespace vdbench::vdsim

@@ -42,13 +42,6 @@ enum class Severity : std::uint8_t { kLow, kMedium, kHigh, kCritical };
 
 inline constexpr std::size_t kSeverityCount = 4;
 
-/// Display name, e.g. "critical".
-[[nodiscard]] std::string_view severity_name(Severity s);
-
-/// Conventional numeric weight (1, 2, 4, 8) used when experiments weigh
-/// outcomes by severity.
-[[nodiscard]] double severity_weight(Severity s);
-
 /// Per-class array type used for tool sensitivities and class mixes.
 template <typename T>
 using PerClass = std::array<T, kVulnClassCount>;

@@ -216,15 +216,6 @@ TEST_F(ResultCacheTest, OversizedSinglePayloadStillCaches) {
   EXPECT_TRUE(cache.fetch(key, 2).has_value());
 }
 
-TEST_F(ResultCacheTest, RemoveDropsTheEntry) {
-  ResultCache cache = make_cache();
-  const CacheKey key = sample_key();
-  ASSERT_TRUE(cache.store(key, "to be refreshed", 1));
-  cache.remove(key);
-  EXPECT_EQ(cache.entry_count(), 0u);
-  EXPECT_FALSE(cache.fetch(key, 2).has_value());
-}
-
 TEST_F(ResultCacheTest, AdoptsEntriesMissingFromTheIndex) {
   const CacheKey key = sample_key();
   {

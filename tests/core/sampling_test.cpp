@@ -15,15 +15,6 @@ TEST(DetectorProfileTest, ValidationRejectsOutOfRange) {
   EXPECT_THROW((DetectorProfile{0.5, 1.2}.validate()), std::invalid_argument);
 }
 
-TEST(DetectorProfileTest, Dominance) {
-  const DetectorProfile base{0.7, 0.10};
-  EXPECT_TRUE((DetectorProfile{0.8, 0.10}.dominates(base)));
-  EXPECT_TRUE((DetectorProfile{0.7, 0.05}.dominates(base)));
-  EXPECT_TRUE((DetectorProfile{0.8, 0.05}.dominates(base)));
-  EXPECT_FALSE(base.dominates(base));
-  EXPECT_FALSE((DetectorProfile{0.8, 0.20}.dominates(base)));
-}
-
 TEST(SampleConfusionTest, CountsAddUp) {
   stats::Rng rng(1);
   const DetectorProfile d{0.7, 0.1};

@@ -110,15 +110,6 @@ TEST(ScenarioAnalyzerTest, PrecisionBeatsRecallUnderReviewBudget) {
             result_for(results, MetricId::kRecall).ranking_fidelity);
 }
 
-TEST(ScenarioAnalyzerTest, AnalyzeMetricMatchesBatchShape) {
-  const ScenarioAnalyzer analyzer(fast_config());
-  stats::Rng rng(6);
-  const EffectivenessResult r = analyzer.analyze_metric(
-      builtin_scenario("s3_balanced"), MetricId::kMcc, rng);
-  EXPECT_EQ(r.metric, MetricId::kMcc);
-  EXPECT_GT(r.ranking_fidelity, 0.5);
-}
-
 TEST(MetricSelectorTest, RejectsBadWeight) {
   MetricSelector::Config cfg;
   cfg.effectiveness_weight = 1.5;

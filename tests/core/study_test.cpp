@@ -50,15 +50,6 @@ TEST_F(StudyFixture, UnknownScenarioKeyThrows) {
   EXPECT_THROW((void)study().validation("nope"), std::invalid_argument);
 }
 
-TEST_F(StudyFixture, ValidatedVerdictMatchesPerScenarioOutcomes) {
-  bool all_agree = true;
-  for (const Scenario& s : study().scenarios()) {
-    const ValidationOutcome& v = study().validation(s.key);
-    all_agree = all_agree && v.same_top && v.ahp.acceptable();
-  }
-  EXPECT_EQ(study().validated(), all_agree);
-}
-
 TEST(StudyTest, DeterministicGivenSeed) {
   Study a(fast_study_config());
   Study b(fast_study_config());

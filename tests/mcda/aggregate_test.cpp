@@ -34,22 +34,6 @@ TEST(BordaTest, RejectsNonPermutation) {
   EXPECT_THROW(borda_scores(std::vector<Ranking>{}), std::invalid_argument);
 }
 
-TEST(CopelandTest, PairwiseMajority) {
-  // 0 beats 1 and 2 in most rankings; 1 beats 2.
-  const std::vector<Ranking> rankings = {{0, 1, 2}, {0, 1, 2}, {2, 0, 1}};
-  const std::vector<double> scores = copeland_scores(rankings);
-  EXPECT_DOUBLE_EQ(scores[0], 2.0);
-  EXPECT_DOUBLE_EQ(scores[1], 0.0);
-  EXPECT_DOUBLE_EQ(scores[2], -2.0);
-}
-
-TEST(CopelandTest, PerfectTieGivesZeros) {
-  const std::vector<Ranking> rankings = {{0, 1}, {1, 0}};
-  const std::vector<double> scores = copeland_scores(rankings);
-  EXPECT_DOUBLE_EQ(scores[0], 0.0);
-  EXPECT_DOUBLE_EQ(scores[1], 0.0);
-}
-
 TEST(RankingFromScoresTest, DescendingWithStableTies) {
   const std::vector<double> scores = {1.0, 3.0, 3.0, 0.5};
   const Ranking expected = {1, 2, 0, 3};

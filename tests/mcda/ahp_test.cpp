@@ -27,17 +27,6 @@ TEST(ComparisonMatrixTest, SetJudgmentRejectsBadInput) {
   EXPECT_THROW(cm.set_judgment(0, 1, -3.0), std::invalid_argument);
 }
 
-TEST(ComparisonMatrixTest, WrapValidatesReciprocity) {
-  const stats::Matrix good = {{1.0, 2.0}, {0.5, 1.0}};
-  EXPECT_NO_THROW(ComparisonMatrix{good});
-  const stats::Matrix bad_diag = {{2.0, 2.0}, {0.5, 1.0}};
-  EXPECT_THROW(ComparisonMatrix{bad_diag}, std::invalid_argument);
-  const stats::Matrix not_reciprocal = {{1.0, 2.0}, {0.4, 1.0}};
-  EXPECT_THROW(ComparisonMatrix{not_reciprocal}, std::invalid_argument);
-  const stats::Matrix negative = {{1.0, -2.0}, {-0.5, 1.0}};
-  EXPECT_THROW(ComparisonMatrix{negative}, std::invalid_argument);
-}
-
 TEST(SaatyScaleTest, SnapsToNearestScaleValue) {
   EXPECT_DOUBLE_EQ(snap_to_saaty_scale(1.0), 1.0);
   EXPECT_DOUBLE_EQ(snap_to_saaty_scale(3.2), 3.0);
@@ -56,25 +45,6 @@ TEST(SaatyScaleTest, ReciprocalSymmetry) {
     EXPECT_NEAR(snap_to_saaty_scale(r) * snap_to_saaty_scale(1.0 / r), 1.0,
                 1e-12);
   }
-}
-
-TEST(FromPrioritiesTest, ConsistentMatrixRecoversWeights) {
-  const std::vector<double> w = {0.6, 0.3, 0.1};
-  const ComparisonMatrix cm = ComparisonMatrix::from_priorities(w);
-  const AhpResult r = ahp_priorities(cm);
-  EXPECT_NEAR(r.weights[0], 0.6, 0.02);
-  EXPECT_NEAR(r.weights[1], 0.3, 0.02);
-  EXPECT_NEAR(r.weights[2], 0.1, 0.02);
-  EXPECT_LT(r.consistency_ratio, 0.01);
-}
-
-TEST(FromPrioritiesTest, RejectsBadWeights) {
-  const std::vector<double> empty;
-  const std::vector<double> with_zero = {0.5, 0.0};
-  EXPECT_THROW(ComparisonMatrix::from_priorities(empty),
-               std::invalid_argument);
-  EXPECT_THROW(ComparisonMatrix::from_priorities(with_zero),
-               std::invalid_argument);
 }
 
 TEST(AhpTest, SaatyTextbookExample) {

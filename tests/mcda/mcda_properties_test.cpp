@@ -53,9 +53,6 @@ TEST_P(McdaPropertyTest, DominantAlternativeWinsEveryMethod) {
   const auto wsm = weighted_sum_scores(scores, w);
   EXPECT_EQ(std::max_element(wsm.begin(), wsm.end()) - wsm.begin(), 0);
 
-  const auto wpm = weighted_product_scores(scores, w);
-  EXPECT_EQ(std::max_element(wpm.begin(), wpm.end()) - wpm.begin(), 0);
-
   const std::vector<CriterionKind> kinds(4, CriterionKind::kBenefit);
   const auto topsis = topsis_closeness(scores, w, kinds);
   EXPECT_EQ(std::max_element(topsis.begin(), topsis.end()) - topsis.begin(),
@@ -99,7 +96,6 @@ TEST_P(McdaPropertyTest, MethodsAgreeOnStrictDominanceOrder) {
     for (std::size_t i = 0; i + 1 < n; ++i) EXPECT_GT(s[i], s[i + 1]);
   };
   check_descending(weighted_sum_scores(scores, w));
-  check_descending(weighted_product_scores(scores, w));
   const std::vector<CriterionKind> kinds(3, CriterionKind::kBenefit);
   check_descending(topsis_closeness(scores, w, kinds));
 }

@@ -66,37 +66,5 @@ TEST(WeightSensitivityTest, RejectsBadArguments) {
                std::invalid_argument);
 }
 
-TEST(CriticalWeightFactorsTest, DominantWinnerNeverFlips) {
-  const stats::Matrix scores = {{0.9, 0.9}, {0.5, 0.5}};
-  const std::vector<double> w = {0.5, 0.5};
-  for (const double f : critical_weight_factors(scores, w))
-    EXPECT_TRUE(std::isnan(f));
-}
-
-TEST(CriticalWeightFactorsTest, FindsFlippingFactor) {
-  // Alternative 0 wins on criterion 0, loses criterion 1; shrinking w0 (or
-  // growing w1) eventually flips the winner.
-  const stats::Matrix scores = {{1.0, 0.0}, {0.0, 1.0}};
-  const std::vector<double> w = {0.6, 0.4};
-  const std::vector<double> factors = critical_weight_factors(scores, w);
-  ASSERT_EQ(factors.size(), 2u);
-  EXPECT_TRUE(std::isfinite(factors[0]));
-  EXPECT_LT(factors[0], 1.0) << "criterion 0 weight must shrink to flip";
-  EXPECT_TRUE(std::isfinite(factors[1]));
-  EXPECT_GT(factors[1], 1.0) << "criterion 1 weight must grow to flip";
-  // Verify the reported factor really flips the winner.
-  std::vector<double> flipped = w;
-  flipped[0] *= factors[0];
-  const auto scores_flipped = weighted_sum_scores(scores, flipped);
-  EXPECT_GT(scores_flipped[1], scores_flipped[0]);
-}
-
-TEST(CriticalWeightFactorsTest, RejectsBadLimit) {
-  const stats::Matrix scores = {{0.5, 0.5}, {0.4, 0.6}};
-  const std::vector<double> w = {0.5, 0.5};
-  EXPECT_THROW(critical_weight_factors(scores, w, 1.0),
-               std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace vdbench::mcda

@@ -28,35 +28,11 @@ TEST(WeightedSumTest, DimensionMismatchThrows) {
   EXPECT_THROW(weighted_sum_scores(scores, w), std::invalid_argument);
 }
 
-TEST(WeightedProductTest, HandComputed) {
-  const stats::Matrix scores = {{4.0, 1.0}, {1.0, 4.0}};
-  const std::vector<double> w = {0.5, 0.5};
-  const std::vector<double> out = weighted_product_scores(scores, w);
-  EXPECT_NEAR(out[0], 2.0, 1e-12);
-  EXPECT_NEAR(out[1], 2.0, 1e-12);
-}
-
-TEST(WeightedProductTest, GeometricMeanInterpretation) {
-  const stats::Matrix scores = {{8.0, 2.0}};
-  const std::vector<double> w = {1.0, 1.0};
-  EXPECT_NEAR(weighted_product_scores(scores, w)[0], 4.0, 1e-12);
-}
-
-TEST(WeightedProductTest, RejectsNonPositiveScores) {
-  const stats::Matrix zero = {{0.0, 1.0}};
-  const stats::Matrix negative = {{-1.0, 1.0}};
-  const std::vector<double> w = {0.5, 0.5};
-  EXPECT_THROW(weighted_product_scores(zero, w), std::invalid_argument);
-  EXPECT_THROW(weighted_product_scores(negative, w), std::invalid_argument);
-}
-
 TEST(WeightedModelsTest, AgreeOnDominance) {
   const stats::Matrix scores = {{0.9, 0.8}, {0.4, 0.3}};
   const std::vector<double> w = {0.5, 0.5};
   const auto wsm = weighted_sum_scores(scores, w);
-  const auto wpm = weighted_product_scores(scores, w);
   EXPECT_GT(wsm[0], wsm[1]);
-  EXPECT_GT(wpm[0], wpm[1]);
 }
 
 }  // namespace

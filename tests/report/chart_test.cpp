@@ -44,7 +44,6 @@ TEST(LineChartTest, RejectsBadSeriesAndSizes) {
   bad.x = {1.0, 2.0};
   bad.y = {1.0};
   EXPECT_THROW(chart.add_series(bad), std::invalid_argument);
-  EXPECT_THROW(chart.set_size(4, 2), std::invalid_argument);
   EXPECT_THROW(chart.set_y_range(1.0, 1.0), std::invalid_argument);
 }
 

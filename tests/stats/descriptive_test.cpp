@@ -24,11 +24,6 @@ TEST(DescriptiveTest, MeanThrowsOnEmpty) {
   EXPECT_THROW(mean(empty), std::invalid_argument);
 }
 
-TEST(DescriptiveTest, PopulationVarianceKnownValue) {
-  // Classic example: population variance of kSample is 4.
-  EXPECT_DOUBLE_EQ(population_variance(kSample), 4.0);
-}
-
 TEST(DescriptiveTest, SampleVarianceKnownValue) {
   EXPECT_NEAR(variance(kSample), 4.0 * 8.0 / 7.0, 1e-12);
 }
@@ -75,39 +70,6 @@ TEST(DescriptiveTest, QuantileRejectsOutOfRange) {
 TEST(DescriptiveTest, QuantileUnsortedInputHandled) {
   const std::vector<double> v = {9.0, 1.0, 5.0};
   EXPECT_DOUBLE_EQ(quantile(v, 0.5), 5.0);
-}
-
-TEST(DescriptiveTest, CoefficientOfVariation) {
-  EXPECT_DOUBLE_EQ(coefficient_of_variation(kSample),
-                   stddev(kSample) / 5.0);
-}
-
-TEST(DescriptiveTest, CoefficientOfVariationZeroMeanThrows) {
-  const std::vector<double> v = {-1.0, 1.0};
-  EXPECT_THROW(coefficient_of_variation(v), std::invalid_argument);
-}
-
-TEST(DescriptiveTest, StandardError) {
-  EXPECT_NEAR(standard_error(kSample),
-              stddev(kSample) / std::sqrt(8.0), 1e-12);
-}
-
-TEST(DescriptiveTest, SummaryFields) {
-  const Summary s = summarize(kSample);
-  EXPECT_EQ(s.n, 8u);
-  EXPECT_DOUBLE_EQ(s.mean, 5.0);
-  EXPECT_DOUBLE_EQ(s.min, 2.0);
-  EXPECT_DOUBLE_EQ(s.max, 9.0);
-  EXPECT_DOUBLE_EQ(s.median, 4.5);
-  EXPECT_LE(s.q25, s.median);
-  EXPECT_LE(s.median, s.q75);
-}
-
-TEST(DescriptiveTest, SummarySingleElementHasZeroStddev) {
-  const std::vector<double> one = {7.0};
-  const Summary s = summarize(one);
-  EXPECT_EQ(s.n, 1u);
-  EXPECT_DOUBLE_EQ(s.stddev, 0.0);
 }
 
 }  // namespace

@@ -79,47 +79,6 @@ TEST(WelchTest, RequiresTwoPerSample) {
   EXPECT_THROW(welch_t_test(one, two), std::invalid_argument);
 }
 
-TEST(SignTest, DetectsConsistentShift) {
-  std::vector<double> xs(30), ys(30);
-  for (int i = 0; i < 30; ++i) {
-    xs[i] = i;
-    ys[i] = i - 1.0;
-  }
-  const TestResult r = sign_test(xs, ys);
-  EXPECT_LT(r.p_value, 1e-6);
-}
-
-TEST(SignTest, BalancedSignsNotSignificant) {
-  const std::vector<double> xs = {1.0, 2.0, 3.0, 4.0};
-  const std::vector<double> ys = {2.0, 1.0, 4.0, 3.0};
-  const TestResult r = sign_test(xs, ys);
-  EXPECT_DOUBLE_EQ(r.p_value, 1.0);
-}
-
-TEST(SignTest, DropsZeroDifferences) {
-  const std::vector<double> xs = {1.0, 5.0, 5.0, 5.0};
-  const std::vector<double> ys = {1.0, 4.0, 4.0, 4.0};
-  const TestResult r = sign_test(xs, ys);
-  EXPECT_DOUBLE_EQ(r.statistic, 3.0);  // three positive differences
-}
-
-TEST(SignTest, AllZeroDifferencesThrow) {
-  const std::vector<double> xs = {1.0, 2.0};
-  EXPECT_THROW(sign_test(xs, xs), std::invalid_argument);
-}
-
-TEST(CohensDTest, KnownEffectSize) {
-  const auto xs = normal_sample(5000, 1.0, 1.0, 6);
-  const auto ys = normal_sample(5000, 0.0, 1.0, 7);
-  EXPECT_NEAR(cohens_d(xs, ys), 1.0, 0.06);
-}
-
-TEST(CohensDTest, SignedDirection) {
-  const auto xs = normal_sample(500, 0.0, 1.0, 8);
-  const auto ys = normal_sample(500, 1.0, 1.0, 9);
-  EXPECT_LT(cohens_d(xs, ys), 0.0);
-}
-
 TEST(ProbabilityOfSuperiorityTest, SeparatedSamples) {
   const std::vector<double> hi = {10.0, 11.0, 12.0};
   const std::vector<double> lo = {1.0, 2.0, 3.0};

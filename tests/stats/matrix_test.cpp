@@ -37,48 +37,12 @@ TEST(MatrixTest, AtBoundsChecked) {
   EXPECT_THROW(m.at(0, 2), std::out_of_range);
 }
 
-TEST(MatrixTest, IdentityMultiplication) {
-  const Matrix m = {{1.0, 2.0}, {3.0, 4.0}};
-  const Matrix id = Matrix::identity(2);
-  EXPECT_TRUE(m.multiply(id).approx_equal(m, 1e-12));
-  EXPECT_TRUE(id.multiply(m).approx_equal(m, 1e-12));
-}
-
-TEST(MatrixTest, KnownProduct) {
-  const Matrix a = {{1.0, 2.0}, {3.0, 4.0}};
-  const Matrix b = {{5.0, 6.0}, {7.0, 8.0}};
-  const Matrix expected = {{19.0, 22.0}, {43.0, 50.0}};
-  EXPECT_TRUE(a.multiply(b).approx_equal(expected, 1e-12));
-}
-
-TEST(MatrixTest, ProductDimensionMismatchThrows) {
-  const Matrix a(2, 3);
-  const Matrix b(2, 3);
-  EXPECT_THROW(a.multiply(b), std::invalid_argument);
-}
-
 TEST(MatrixTest, MatrixVectorProduct) {
   const Matrix a = {{1.0, 2.0}, {3.0, 4.0}};
   const std::vector<double> v = {1.0, 1.0};
   const std::vector<double> out = a.multiply(v);
   EXPECT_DOUBLE_EQ(out[0], 3.0);
   EXPECT_DOUBLE_EQ(out[1], 7.0);
-}
-
-TEST(MatrixTest, Transpose) {
-  const Matrix a = {{1.0, 2.0, 3.0}, {4.0, 5.0, 6.0}};
-  const Matrix t = a.transposed();
-  EXPECT_EQ(t.rows(), 3u);
-  EXPECT_EQ(t.cols(), 2u);
-  EXPECT_DOUBLE_EQ(t(2, 1), 6.0);
-}
-
-TEST(MatrixTest, RowAndColumnCopies) {
-  const Matrix a = {{1.0, 2.0}, {3.0, 4.0}};
-  EXPECT_EQ(a.row(1), (std::vector<double>{3.0, 4.0}));
-  EXPECT_EQ(a.column(0), (std::vector<double>{1.0, 3.0}));
-  EXPECT_THROW(a.row(2), std::out_of_range);
-  EXPECT_THROW(a.column(2), std::out_of_range);
 }
 
 TEST(EigenTest, DiagonalMatrixPrincipalPair) {

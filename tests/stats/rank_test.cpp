@@ -10,52 +10,10 @@
 namespace vdbench::stats {
 namespace {
 
-TEST(RankTest, AverageRanksSimple) {
-  const std::vector<double> xs = {10.0, 30.0, 20.0};
-  const std::vector<double> expected = {1.0, 3.0, 2.0};
-  EXPECT_EQ(average_ranks(xs), expected);
-}
-
-TEST(RankTest, AverageRanksWithTies) {
-  const std::vector<double> xs = {10.0, 20.0, 20.0};
-  const std::vector<double> expected = {1.0, 2.5, 2.5};
-  EXPECT_EQ(average_ranks(xs), expected);
-}
-
-TEST(RankTest, AverageRanksAllTied) {
-  const std::vector<double> xs = {5.0, 5.0, 5.0, 5.0};
-  const std::vector<double> expected = {2.5, 2.5, 2.5, 2.5};
-  EXPECT_EQ(average_ranks(xs), expected);
-}
-
 TEST(RankTest, OrderDescendingStableOnTies) {
   const std::vector<double> xs = {1.0, 3.0, 3.0, 2.0};
   const std::vector<std::size_t> expected = {1, 2, 3, 0};
   EXPECT_EQ(order_descending(xs), expected);
-}
-
-TEST(RankTest, PearsonPerfectCorrelation) {
-  const std::vector<double> xs = {1.0, 2.0, 3.0, 4.0};
-  const std::vector<double> ys = {10.0, 20.0, 30.0, 40.0};
-  EXPECT_NEAR(pearson(xs, ys), 1.0, 1e-12);
-}
-
-TEST(RankTest, PearsonPerfectAnticorrelation) {
-  const std::vector<double> xs = {1.0, 2.0, 3.0};
-  const std::vector<double> ys = {3.0, 2.0, 1.0};
-  EXPECT_NEAR(pearson(xs, ys), -1.0, 1e-12);
-}
-
-TEST(RankTest, PearsonRejectsZeroVariance) {
-  const std::vector<double> xs = {1.0, 1.0, 1.0};
-  const std::vector<double> ys = {1.0, 2.0, 3.0};
-  EXPECT_THROW(pearson(xs, ys), std::invalid_argument);
-}
-
-TEST(RankTest, SpearmanInvariantToMonotoneTransform) {
-  const std::vector<double> xs = {1.0, 2.0, 3.0, 4.0, 5.0};
-  const std::vector<double> ys = {1.0, 8.0, 27.0, 64.0, 125.0};  // x^3
-  EXPECT_NEAR(spearman(xs, ys), 1.0, 1e-12);
 }
 
 TEST(RankTest, KendallIdenticalOrderIsOne) {
@@ -143,15 +101,7 @@ TEST(RankTest, RejectsNonFiniteInput) {
   const std::vector<double> with_neg_inf = {1.0, -inf, 3.0};
   const std::vector<double> clean = {1.0, 2.0, 3.0};
 
-  EXPECT_THROW(average_ranks(with_nan), std::invalid_argument);
-  EXPECT_THROW(average_ranks(with_inf), std::invalid_argument);
-  EXPECT_THROW(average_ranks(with_neg_inf), std::invalid_argument);
   EXPECT_THROW(order_descending(with_nan), std::invalid_argument);
-
-  EXPECT_THROW(pearson(with_nan, clean), std::invalid_argument);
-  EXPECT_THROW(pearson(clean, with_inf), std::invalid_argument);
-  EXPECT_THROW(spearman(with_nan, clean), std::invalid_argument);
-  EXPECT_THROW(spearman(clean, with_nan), std::invalid_argument);
   EXPECT_THROW(kendall_tau(with_nan, clean), std::invalid_argument);
   EXPECT_THROW(kendall_tau(clean, with_neg_inf), std::invalid_argument);
   EXPECT_THROW(top_k_overlap(with_nan, clean, 2), std::invalid_argument);
@@ -162,7 +112,6 @@ TEST(RankTest, RejectsNonFiniteInput) {
 TEST(RankTest, AllNanInputStillThrows) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const std::vector<double> nans = {nan, nan, nan};
-  EXPECT_THROW(average_ranks(nans), std::invalid_argument);
   EXPECT_THROW(kendall_tau(nans, nans), std::invalid_argument);
 }
 

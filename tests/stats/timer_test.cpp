@@ -17,7 +17,6 @@ TEST(StageTimerTest, RecordAccumulatesByLabel) {
   EXPECT_DOUBLE_EQ(timer.stages()[0].seconds, 1.5);
   EXPECT_EQ(timer.stages()[0].calls, 2u);
   EXPECT_EQ(timer.stages()[1].label, "compute");
-  EXPECT_DOUBLE_EQ(timer.total_seconds(), 3.5);
 }
 
 TEST(StageTimerTest, RecordRejectsNegativeDuration) {

@@ -82,7 +82,6 @@ TEST(EmitTest, EmissionIsAPureFunctionOfTheWorkload) {
   const Workload workload = handmade_workload();
   const CodeEmitter emitter(workload);
   EXPECT_EQ(emitter.emit_service(0).text, emitter.emit_service(0).text);
-  EXPECT_EQ(emitter.emit_all().size(), 1u);
   EXPECT_EQ(emitter.emit_service(0).name, "service-0.mini");
   EXPECT_THROW((void)emitter.emit_service(1), std::out_of_range);
 }

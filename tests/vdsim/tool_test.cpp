@@ -71,21 +71,6 @@ TEST(ToolProfileTest, ValidationBoundsConfidenceMeans) {
   EXPECT_THROW(t.validate(), std::invalid_argument);
 }
 
-TEST(ToolProfileTest, MeanSensitivityWeighted) {
-  ToolProfile t = make_archetype_profile(ToolArchetype::kManualReview, 0.5,
-                                         "m");
-  t.sensitivity.fill(0.0);
-  t.sensitivity[0] = 1.0;
-  PerClass<double> mix{};
-  mix.fill(1.0);
-  EXPECT_DOUBLE_EQ(t.mean_sensitivity(mix), 1.0 / kVulnClassCount);
-  mix.fill(0.0);
-  mix[0] = 1.0;
-  EXPECT_DOUBLE_EQ(t.mean_sensitivity(mix), 1.0);
-  mix.fill(0.0);
-  EXPECT_THROW(t.mean_sensitivity(mix), std::invalid_argument);
-}
-
 TEST(ArchetypeTest, QualityImprovesEverything) {
   const ToolProfile weak =
       make_archetype_profile(ToolArchetype::kStaticAnalyzer, 0.2, "weak");

@@ -24,15 +24,6 @@ TEST(VulnTaxonomyTest, ClassesAndNames) {
   }
 }
 
-TEST(VulnTaxonomyTest, SeverityWeightsIncrease) {
-  EXPECT_LT(severity_weight(Severity::kLow), severity_weight(Severity::kMedium));
-  EXPECT_LT(severity_weight(Severity::kMedium),
-            severity_weight(Severity::kHigh));
-  EXPECT_LT(severity_weight(Severity::kHigh),
-            severity_weight(Severity::kCritical));
-  EXPECT_FALSE(severity_name(Severity::kCritical).empty());
-}
-
 TEST(WorkloadSpecTest, ValidationCatchesBadFields) {
   WorkloadSpec spec;
   EXPECT_NO_THROW(spec.validate());

@@ -503,52 +503,34 @@ std::optional<DecodedPayload> decode_payload(std::string_view payload) {
 
 std::optional<std::vector<std::pair<std::string, PriorRecord>>>
 load_resume_manifest(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  const std::string raw{std::istreambuf_iterator<char>(in), {}};
-  const std::optional<report::JsonDocument> parsed = report::parse_json(raw);
+  const std::optional<std::string> raw = cache::read_file(path);
+  if (!raw) return std::nullopt;
+  const std::optional<report::JsonDocument> parsed = report::parse_json(*raw);
   if (!parsed || !parsed->root().is_object()) return std::nullopt;
   const report::JsonValue* experiments = parsed->root().member("experiments");
   if (experiments == nullptr || !experiments->as_array()) return std::nullopt;
   std::vector<std::pair<std::string, PriorRecord>> records;
   for (const report::JsonValue& item : *experiments->as_array()) {
+    // write_manifest gives every entry an id, a status and its attempts;
+    // an entry without them is not a run manifest.
     const report::JsonValue* id = item.member("id");
-    if (id == nullptr || !id->as_string()) return std::nullopt;
-    PriorRecord record;
-    if (const report::JsonValue* status = item.member("status");
-        status != nullptr && status->as_string()) {
-      record.ok = *status->as_string() == "ok";
-    } else {
-      // Pre-supervisor manifests carry no status; a recorded error is the
-      // only failure marker they have.
-      record.ok = item.member("error") == nullptr;
-    }
+    const report::JsonValue* status = item.member("status");
     const report::JsonValue* attempts = item.member("attempts");
-    if (attempts != nullptr && attempts->as_array()) {
-      for (const report::JsonValue& attempt : *attempts->as_array()) {
-        AttemptRecord prior;
-        prior.prior = true;
-        if (const report::JsonValue* result = attempt.member("result");
-            result != nullptr && result->as_string())
-          prior.result = *result->as_string();
-        if (const report::JsonValue* error = attempt.member("error");
-            error != nullptr && error->as_string())
-          prior.error = *error->as_string();
-        if (const report::JsonValue* seconds = attempt.member("seconds");
-            seconds != nullptr && seconds->as_number().has_value())
-          prior.seconds = *seconds->as_number();
-        record.attempts.push_back(std::move(prior));
-      }
-    } else {
-      // Synthesize one attempt from the flat record so old manifests still
-      // carry their timing into the resumed run.
+    if (id == nullptr || !id->as_string() || status == nullptr ||
+        !status->as_string() || attempts == nullptr || !attempts->as_array())
+      return std::nullopt;
+    PriorRecord record;
+    record.ok = *status->as_string() == "ok";
+    for (const report::JsonValue& attempt : *attempts->as_array()) {
       AttemptRecord prior;
       prior.prior = true;
-      prior.result = record.ok ? "ok" : "exception";
-      if (const report::JsonValue* error = item.member("error");
+      if (const report::JsonValue* result = attempt.member("result");
+          result != nullptr && result->as_string())
+        prior.result = *result->as_string();
+      if (const report::JsonValue* error = attempt.member("error");
           error != nullptr && error->as_string())
         prior.error = *error->as_string();
-      if (const report::JsonValue* seconds = item.member("seconds");
+      if (const report::JsonValue* seconds = attempt.member("seconds");
           seconds != nullptr && seconds->as_number().has_value())
         prior.seconds = *seconds->as_number();
       record.attempts.push_back(std::move(prior));

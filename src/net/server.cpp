@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <optional>
 #include <sstream>
 #include <streambuf>
@@ -17,6 +16,7 @@
 #include <poll.h>
 #include <unistd.h>
 
+#include "cache/result_cache.h"
 #include "cli/driver.h"
 #include "fault/injector.h"
 #include "net/frame.h"
@@ -53,15 +53,6 @@ void send_status_best_effort(Socket& socket, const StudyStatus& status) {
         FrameType::kStatus, encode_status(status), kRoleServer);
   } catch (const TransportError&) {
   }
-}
-
-std::optional<std::string> read_whole_file(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return std::nullopt;
-  std::ostringstream content;
-  content << in.rdbuf();
-  if (in.bad()) return std::nullopt;
-  return std::move(content).str();
 }
 
 // std::streambuf that forwards driver output to the client as kProgress
@@ -473,12 +464,12 @@ void Server::handle_session(Pending session, std::ostream& log) {
   try {
     if (status.status != "deadline" && status.status != "draining") {
       if (const std::optional<std::string> export_json =
-              read_whole_file(driver.json_out);
+              cache::read_file(driver.json_out);
           export_json.has_value())
         write_frame(sink, FrameType::kExport, *export_json, kRoleServer);
       if (request->want_manifest) {
         if (const std::optional<std::string> manifest =
-                read_whole_file(driver.manifest_path);
+                cache::read_file(driver.manifest_path);
             manifest.has_value())
           write_frame(sink, FrameType::kManifest, *manifest, kRoleServer);
       }

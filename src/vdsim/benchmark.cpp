@@ -58,9 +58,11 @@ BenchmarkReport execute_benchmark(const BenchmarkDefinition& definition,
   if (tools.empty())
     throw std::invalid_argument("execute_benchmark: no tools");
 
-  std::vector<core::MetricId> metrics = {definition.primary_metric};
-  metrics.insert(metrics.end(), definition.secondary_metrics.begin(),
-                 definition.secondary_metrics.end());
+  std::vector<core::MetricId> metrics;
+  metrics.reserve(1 + definition.secondary_metrics.size());
+  metrics.push_back(definition.primary_metric);
+  for (const core::MetricId id : definition.secondary_metrics)
+    metrics.push_back(id);
 
   BenchmarkReport report;
   report.definition = definition;

@@ -500,6 +500,34 @@ TEST_F(DriverTest, UnreadableResumeManifestIsAUsageError) {
   EXPECT_EQ(run_driver(toy_registry(), options, out).exit_code, kExitUsage);
 }
 
+TEST_F(DriverTest, ResumeRejectsAnEntryWithoutStatusOrAttempts) {
+  // Every manifest the driver writes gives each entry a status and its
+  // attempts, so an entry missing either is not a run manifest.
+  const auto resume_from = [&](const std::string& manifest) {
+    std::ofstream(dir_ / "resume.json") << manifest;
+    DriverOptions options = base_options();
+    options.quiet = true;
+    options.resume_path = (dir_ / "resume.json").string();
+    std::ostringstream out;
+    const int exit_code = run_driver(toy_registry(), options, out).exit_code;
+    return std::make_pair(exit_code, out.str());
+  };
+  const std::string attempts =
+      R"("attempts":[{"result":"ok","seconds":0.5}])";
+  EXPECT_NE(resume_from(R"({"experiments":[{"id":"t1","status":"ok",)" +
+                        attempts + "}]}")
+                .first,
+            kExitUsage);
+  for (const std::string& entry :
+       {R"({"id":"t1",)" + attempts + "}",
+        std::string(R"({"id":"t1","status":"ok"})")}) {
+    const auto [exit_code, out] =
+        resume_from(R"({"experiments":[)" + entry + "]}");
+    EXPECT_EQ(exit_code, kExitUsage) << entry;
+    EXPECT_NE(out.find("not a run manifest"), std::string::npos) << out;
+  }
+}
+
 TEST_F(DriverTest, ResumeReplaysRecordedSuccessesAndRerunsFailures) {
   DriverOptions options = base_options();
   options.quiet = true;

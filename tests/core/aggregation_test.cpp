@@ -52,9 +52,9 @@ TEST(PoolContextsTest, RejectsMixedCostModels) {
   EvalContext a = make_ctx(10, 5, 80, 5);
   EvalContext b = make_ctx(10, 5, 80, 5);
   b.cost_fn = 99.0;
-  EXPECT_THROW(pool_contexts(std::vector<EvalContext>{a, b}),
+  EXPECT_THROW((void)pool_contexts(std::vector<EvalContext>{a, b}),
                std::invalid_argument);
-  EXPECT_THROW(pool_contexts(std::vector<EvalContext>{}),
+  EXPECT_THROW((void)pool_contexts(std::vector<EvalContext>{}),
                std::invalid_argument);
 }
 

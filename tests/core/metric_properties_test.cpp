@@ -64,9 +64,10 @@ TEST(MetricIdentityTest, ComplementPairsSumToOne) {
     const auto pair_sums_to_one = [&](MetricId a, MetricId b) {
       const double va = compute_metric(a, ctx);
       const double vb = compute_metric(b, ctx);
-      if (std::isfinite(va) && std::isfinite(vb))
+      if (std::isfinite(va) && std::isfinite(vb)) {
         EXPECT_NEAR(va + vb, 1.0, 1e-12)
             << metric_info(a).key << "+" << metric_info(b).key;
+      }
     };
     pair_sums_to_one(MetricId::kAccuracy, MetricId::kErrorRate);
     pair_sums_to_one(MetricId::kRecall, MetricId::kFnRate);

@@ -355,10 +355,12 @@ TEST_P(AllMetricsTest, BetterToolNeverScoresWorseAsymptotically) {
   const double worse = utility(0.6, 0.10);
   const double better_sens = utility(0.75, 0.10);
   const double better_fallout = utility(0.6, 0.05);
-  if (std::isfinite(worse) && std::isfinite(better_sens))
+  if (std::isfinite(worse) && std::isfinite(better_sens)) {
     EXPECT_GE(better_sens, worse) << info.key;
-  if (std::isfinite(worse) && std::isfinite(better_fallout))
+  }
+  if (std::isfinite(worse) && std::isfinite(better_fallout)) {
     EXPECT_GE(better_fallout, worse) << info.key;
+  }
 }
 
 }  // namespace

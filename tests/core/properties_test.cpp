@@ -64,13 +64,13 @@ TEST(MetricAssessmentTest, WeightedScoreIsConvexCombination) {
 TEST(MetricAssessmentTest, WeightedScoreRejectsBadWeights) {
   MetricAssessment a;
   const std::vector<double> wrong_size(3, 1.0);
-  EXPECT_THROW(a.weighted_score(wrong_size), std::invalid_argument);
+  EXPECT_THROW((void)a.weighted_score(wrong_size), std::invalid_argument);
   std::array<double, kPropertyCount> zeros{};
-  EXPECT_THROW(a.weighted_score(zeros), std::invalid_argument);
+  EXPECT_THROW((void)a.weighted_score(zeros), std::invalid_argument);
   std::array<double, kPropertyCount> negative{};
   negative.fill(1.0);
   negative[2] = -1.0;
-  EXPECT_THROW(a.weighted_score(negative), std::invalid_argument);
+  EXPECT_THROW((void)a.weighted_score(negative), std::invalid_argument);
 }
 
 TEST_F(PropertyAssessorTest, ScoresAreInUnitInterval) {

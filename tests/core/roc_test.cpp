@@ -104,7 +104,7 @@ TEST(OptimalPointTest, MissHeavyCostsPushThresholdDown) {
 
 TEST(OptimalPointTest, RejectsNegativeCosts) {
   const RocCurve roc{perfect_separation()};
-  EXPECT_THROW(roc.optimal_point(-1.0, 1.0), std::invalid_argument);
+  EXPECT_THROW((void)roc.optimal_point(-1.0, 1.0), std::invalid_argument);
 }
 
 TEST(YoudenPointTest, PerfectSeparationHitsCorner) {
@@ -118,8 +118,8 @@ TEST(TprAtFprTest, InterpolatesAndClamps) {
   const RocCurve roc{perfect_separation()};
   EXPECT_DOUBLE_EQ(roc.tpr_at_fpr(0.0), 1.0);  // perfect curve
   EXPECT_DOUBLE_EQ(roc.tpr_at_fpr(1.0), 1.0);
-  EXPECT_THROW(roc.tpr_at_fpr(-0.1), std::invalid_argument);
-  EXPECT_THROW(roc.tpr_at_fpr(1.5), std::invalid_argument);
+  EXPECT_THROW((void)roc.tpr_at_fpr(-0.1), std::invalid_argument);
+  EXPECT_THROW((void)roc.tpr_at_fpr(1.5), std::invalid_argument);
 }
 
 TEST(TprAtFprTest, MonotoneInBudget) {

@@ -20,7 +20,7 @@ TEST(ScenarioTest, FiveBuiltinsWithUniqueKeys) {
 TEST(ScenarioTest, LookupByKey) {
   EXPECT_EQ(builtin_scenario("s1_critical").name,
             "Security-critical deployment");
-  EXPECT_THROW(builtin_scenario("nope"), std::invalid_argument);
+  EXPECT_THROW((void)builtin_scenario("nope"), std::invalid_argument);
 }
 
 TEST(ScenarioTest, CostStructureMatchesIntent) {

@@ -176,7 +176,7 @@ TEST_F(SelectorFixture, RankOfAndAccessors) {
   EXPECT_EQ(rec.rank_of(rec.best().metric), 0u);
   const auto scores = rec.overall_scores_in_catalogue_order(ranking_metrics());
   EXPECT_EQ(scores.size(), ranking_metrics().size());
-  EXPECT_THROW(ScenarioRecommendation{}.best(), std::out_of_range);
+  EXPECT_THROW((void)ScenarioRecommendation{}.best(), std::out_of_range);
 }
 
 TEST_F(SelectorFixture, MissingAssessmentThrows) {

@@ -67,9 +67,9 @@ TEST(ManifestTest, VulnClassFromCweIsTotalOverTheTaxonomy) {
 
 TEST(ManifestTest, RejectsSchemaDrift) {
   try {
-    parse_manifest(R"({"schema":2,"name":"n","ecosystems":[)"
-                   R"({"name":"e","sites":[)"
-                   R"({"uri":"a","line":1,"vulnerable":false}]}]})");
+    (void)parse_manifest(R"({"schema":2,"name":"n","ecosystems":[)"
+                         R"({"name":"e","sites":[)"
+                         R"({"uri":"a","line":1,"vulnerable":false}]}]})");
     FAIL() << "schema 2 accepted";
   } catch (const CorpusError& e) {
     EXPECT_NE(std::string(e.what()).find("not supported"), std::string::npos)
@@ -116,9 +116,9 @@ TEST(ManifestTest, VulnerableSitesRequireAnInTaxonomyCwe) {
       CorpusError);
   // A CWE outside the vdsim taxonomy cannot label ground truth.
   try {
-    parse_manifest(R"({"schema":1,"name":"n","ecosystems":[)"
-                   R"({"name":"e","sites":[{"uri":"a","line":1,)"
-                   R"("cwe":"CWE-9999","vulnerable":true}]}]})");
+    (void)parse_manifest(R"({"schema":1,"name":"n","ecosystems":[)"
+                         R"({"name":"e","sites":[{"uri":"a","line":1,)"
+                         R"("cwe":"CWE-9999","vulnerable":true}]}]})");
     FAIL() << "unknown cwe accepted";
   } catch (const CorpusError& e) {
     EXPECT_NE(std::string(e.what()).find("outside the taxonomy"),
@@ -149,11 +149,11 @@ TEST(ManifestTest, RejectsDuplicateSitesAcrossEcosystems) {
   // Same (uri, line) in two different ecosystems: two truths for one
   // location cannot be scored.
   try {
-    parse_manifest(R"({"schema":1,"name":"n","ecosystems":[)"
-                   R"({"name":"e1","sites":[)"
-                   R"({"uri":"a","line":7,"vulnerable":false}]},)"
-                   R"({"name":"e2","sites":[)"
-                   R"({"uri":"a","line":7,"vulnerable":false}]}]})");
+    (void)parse_manifest(R"({"schema":1,"name":"n","ecosystems":[)"
+                         R"({"name":"e1","sites":[)"
+                         R"({"uri":"a","line":7,"vulnerable":false}]},)"
+                         R"({"name":"e2","sites":[)"
+                         R"({"uri":"a","line":7,"vulnerable":false}]}]})");
     FAIL() << "duplicate site accepted";
   } catch (const CorpusError& e) {
     EXPECT_NE(std::string(e.what()).find("duplicate site"), std::string::npos)
@@ -173,7 +173,7 @@ TEST(ManifestTest, StructuralDamageCarriesTheByteOffset) {
   const std::string good = kGoodManifest;
   const std::string torn = good.substr(0, good.size() - 10);
   try {
-    parse_manifest(torn);
+    (void)parse_manifest(torn);
     FAIL() << "torn manifest accepted";
   } catch (const CorpusError& e) {
     EXPECT_GT(e.offset, 0u);

@@ -70,7 +70,9 @@ TEST(SyntheticCorpusTest, RenderedManifestRoundTripsThroughTheReader) {
       EXPECT_EQ(out[s].uri, in[s].uri);
       EXPECT_EQ(out[s].line, in[s].line);
       EXPECT_EQ(out[s].vulnerable, in[s].vulnerable);
-      if (in[s].vulnerable) EXPECT_EQ(out[s].vuln_class, in[s].vuln_class);
+      if (in[s].vulnerable) {
+        EXPECT_EQ(out[s].vuln_class, in[s].vuln_class);
+      }
       // The writer prints doubles with 12 significant digits, so the
       // reparsed difficulty agrees to that precision, not bit-for-bit.
       EXPECT_NEAR(out[s].difficulty, in[s].difficulty, 1e-9);

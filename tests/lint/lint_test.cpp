@@ -306,7 +306,9 @@ TEST(CollectFilesTest, DefaultScanSkipsFixturesAndSortsDeterministically) {
   for (std::size_t i = 0; i < files.size(); ++i) {
     EXPECT_EQ(files[i].display.find("lint/fixtures"), std::string::npos)
         << files[i].display;
-    if (i > 0) EXPECT_LT(files[i - 1].display, files[i].display);
+    if (i > 0) {
+      EXPECT_LT(files[i - 1].display, files[i].display);
+    }
   }
 }
 

@@ -65,7 +65,7 @@ TEST(KendallDistanceTest, Symmetric) {
 
 TEST(KendallDistanceTest, RejectsTiny) {
   const Ranking one = {0};
-  EXPECT_THROW(kendall_distance(one, one), std::invalid_argument);
+  EXPECT_THROW((void)kendall_distance(one, one), std::invalid_argument);
 }
 
 TEST(AggregationPipelineTest, BordaConsensusOfNoisyCopies) {

@@ -36,8 +36,8 @@ TEST(SaatyScaleTest, SnapsToNearestScaleValue) {
 }
 
 TEST(SaatyScaleTest, RejectsNonPositive) {
-  EXPECT_THROW(snap_to_saaty_scale(0.0), std::invalid_argument);
-  EXPECT_THROW(snap_to_saaty_scale(-1.0), std::invalid_argument);
+  EXPECT_THROW((void)snap_to_saaty_scale(0.0), std::invalid_argument);
+  EXPECT_THROW((void)snap_to_saaty_scale(-1.0), std::invalid_argument);
 }
 
 TEST(SaatyScaleTest, ReciprocalSymmetry) {

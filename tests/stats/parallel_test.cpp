@@ -256,8 +256,11 @@ TEST_F(ExecutorFaultTest, KeyedThrowFaultHitsTheSameTaskAtAnyThreadCount) {
     // Deterministic blast radius: exactly task 17 was replaced by the
     // fault; every other task still ran (the executor drains on error).
     EXPECT_EQ(ran[17], 0);
-    for (std::size_t i = 0; i < 64; ++i)
-      if (i != 17) EXPECT_EQ(ran[i], 1) << "task " << i;
+    for (std::size_t i = 0; i < 64; ++i) {
+      if (i != 17) {
+        EXPECT_EQ(ran[i], 1) << "task " << i;
+      }
+    }
     fault::Injector::global().disarm();
   }
 }

@@ -152,9 +152,11 @@ TEST_F(WorkStealingFaultTest, FaultKeyHitsTheSameTaskAtEveryThreadCount) {
           << e.what();
     }
     EXPECT_EQ(ran[42].load(), 0) << "threads=" << threads;
-    for (std::size_t i = 0; i < ran.size(); ++i)
-      if (i != 42)
+    for (std::size_t i = 0; i < ran.size(); ++i) {
+      if (i != 42) {
         EXPECT_EQ(ran[i].load(), 1) << "task " << i << " threads=" << threads;
+      }
+    }
     fault::Injector::global().disarm();
   }
 }

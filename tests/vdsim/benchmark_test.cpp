@@ -75,8 +75,9 @@ TEST(ExecuteBenchmarkTest, RankingSortedAndComplete) {
   for (std::size_t i = 0; i < report.ranking.size(); ++i) {
     EXPECT_EQ(report.ranking[i].rank, i + 1);
     EXPECT_FALSE(report.ranking[i].group.empty());
-    if (i + 1 < report.ranking.size())
+    if (i + 1 < report.ranking.size()) {
       EXPECT_GE(report.ranking[i].mean, report.ranking[i + 1].mean);
+    }
   }
 }
 

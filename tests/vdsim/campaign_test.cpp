@@ -91,8 +91,9 @@ TEST(MetricAgreementTest, MatrixWellFormed) {
         EXPECT_NEAR(tau, agreement.tau(b, a), 1e-12);
       }
     }
-    if (agreement.valid_populations(a, a) > 0)
+    if (agreement.valid_populations(a, a) > 0) {
       EXPECT_NEAR(agreement.tau(a, a), 1.0, 1e-12);
+    }
   }
 }
 

@@ -39,8 +39,9 @@ TEST(CombineReportsTest, DeduplicatesBysiteAndClassKeepingBestConfidence) {
   EXPECT_EQ(combined.findings.size(), 4u);
   for (const Finding& f : combined.findings) {
     if (f.service_index == 0 && f.site_index == 1 &&
-        f.claimed_class == VulnClass::kXss)
+        f.claimed_class == VulnClass::kXss) {
       EXPECT_DOUBLE_EQ(f.confidence, 0.8);
+    }
   }
 }
 

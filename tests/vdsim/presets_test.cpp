@@ -24,11 +24,11 @@ TEST(PresetsTest, KeysAreUniqueAndRoundTrip) {
     EXPECT_TRUE(keys.insert(preset_key(p)).second);
     EXPECT_EQ(preset_from_key(preset_key(p)), p);
   }
-  EXPECT_THROW(preset_from_key("no_such_corpus"), std::invalid_argument);
+  EXPECT_THROW((void)preset_from_key("no_such_corpus"), std::invalid_argument);
 }
 
 TEST(PresetsTest, RejectsZeroServices) {
-  EXPECT_THROW(preset_spec(WorkloadPreset::kWebServices, 0),
+  EXPECT_THROW((void)preset_spec(WorkloadPreset::kWebServices, 0),
                std::invalid_argument);
 }
 

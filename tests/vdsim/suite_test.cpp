@@ -124,10 +124,10 @@ TEST(SuiteTest, RejectsBadArguments) {
       core::MetricId::kPrevalence};
   EXPECT_THROW(run_suite(two_tools(), with_descriptive, small_config(), rng),
                std::invalid_argument);
-  EXPECT_THROW(
-      run_suite(two_tools(), kMetrics, small_config(), rng).tools.at(0).metric(
-          core::MetricId::kAccuracy),
-      std::invalid_argument);
+  EXPECT_THROW((void)run_suite(two_tools(), kMetrics, small_config(), rng)
+                   .tools.at(0)
+                   .metric(core::MetricId::kAccuracy),
+               std::invalid_argument);
 }
 
 TEST(ScoredRunTest, CoversEverySiteDeterministically) {

@@ -133,7 +133,7 @@ TEST(WorkloadTest, GroundTruthLookup) {
     EXPECT_EQ(w.vuln_at(s, svc.candidate_sites + 10), nullptr);
   }
   EXPECT_EQ(found, w.total_vulns());
-  EXPECT_THROW(w.vuln_at(w.services().size(), 0), std::out_of_range);
+  EXPECT_THROW((void)w.vuln_at(w.services().size(), 0), std::out_of_range);
 }
 
 TEST(WorkloadTest, ZeroPrevalenceGivesCleanCorpus) {

@@ -20,11 +20,11 @@ namespace vdbench::bench {
 
 /// Canonical StageTimer phase names. Every experiment records its phases
 /// under these constants (never ad-hoc literals), so the driver's stage
-/// tables, the run manifest's per-experiment stages, --trace-out span names
-/// and the VDBENCH_PROF summary all agree on spelling. Names ending in
-/// `Prefix` are completed with a parameter at the call site. kAllNames and
-/// kAllPrefixes list them all, so the golden trace test enumerates the
-/// legal span-name set from one place.
+/// tables, the run manifest's per-experiment stages and --trace-out span
+/// names all agree on spelling. Names ending in `Prefix` are completed with
+/// a parameter at the call site. kAllNames and kAllPrefixes list them all,
+/// so the golden trace test enumerates the legal span-name set from one
+/// place.
 namespace stage {
 inline constexpr const char* kCatalogue = "catalogue";              // e1
 inline constexpr const char* kStage1Assessment = "stage 1 assessment";

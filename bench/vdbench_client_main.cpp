@@ -7,11 +7,13 @@
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <string_view>
 
 #include "cache/result_cache.h"
 #include "net/client.h"
+#include "stats/env.h"
 
 namespace {
 
@@ -34,28 +36,15 @@ void print_usage(std::ostream& out) {
 }
 
 bool parse_u64(std::string_view text, std::uint64_t& out) {
-  if (text.empty() || text.size() > 20) return false;
-  std::uint64_t value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return false;
-    const auto digit = static_cast<std::uint64_t>(c - '0');
-    if (value > (UINT64_MAX - digit) / 10) return false;  // > 2^64-1
-    value = value * 10 + digit;
-  }
-  out = value;
-  return true;
+  const std::optional<std::uint64_t> value = vdbench::stats::parse_uint64(text);
+  if (value) out = *value;
+  return value.has_value();
 }
 
 bool parse_seconds(std::string_view text, double& out) {
-  try {
-    std::size_t used = 0;
-    const double value = std::stod(std::string(text), &used);
-    if (used != text.size() || value < 0.0) return false;
-    out = value;
-    return true;
-  } catch (const std::exception&) {
-    return false;
-  }
+  const std::optional<double> value = vdbench::stats::parse_finite(text);
+  if (value) out = *value;
+  return value.has_value();
 }
 
 }  // namespace

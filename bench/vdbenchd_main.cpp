@@ -6,12 +6,14 @@
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <string_view>
 
 #include "experiments.h"
 #include "fault/injector.h"
 #include "net/server.h"
+#include "stats/env.h"
 #include "study_common.h"
 
 namespace {
@@ -43,26 +45,15 @@ void print_usage(std::ostream& out) {
 }
 
 bool parse_size(std::string_view text, std::size_t& out) {
-  if (text.empty()) return false;
-  std::size_t value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<std::size_t>(c - '0');
-  }
-  out = value;
-  return true;
+  const std::optional<std::uint64_t> value = vdbench::stats::parse_uint64(text);
+  if (value) out = static_cast<std::size_t>(*value);
+  return value.has_value();
 }
 
 bool parse_seconds(std::string_view text, double& out) {
-  try {
-    std::size_t used = 0;
-    const double value = std::stod(std::string(text), &used);
-    if (used != text.size() || value < 0.0) return false;
-    out = value;
-    return true;
-  } catch (const std::exception&) {
-    return false;
-  }
+  const std::optional<double> value = vdbench::stats::parse_finite(text);
+  if (value) out = *value;
+  return value.has_value();
 }
 
 }  // namespace

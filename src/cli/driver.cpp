@@ -18,12 +18,12 @@
 #include "fault/injector.h"
 #include "obs/clock.h"
 #include "obs/names.h"
-#include "obs/profile.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
 #include "report/json.h"
 #include "report/json_reader.h"
 #include "report/table.h"
+#include "stats/env.h"
 #include "stats/parallel.h"
 #include "stream/report_log.h"
 
@@ -100,15 +100,9 @@ exit codes: 0 ok | 3 partial (some experiments failed, study usable) |
 
 environment: VDBENCH_FAULTS arms the deterministic fault injector, e.g.
 "cache.write=io_error@3;experiment.body=throw@e13:1" (see README).
-VDBENCH_PROF=1 prints a per-span p50/p95/max duration table on exit.
 )";
 
 constexpr std::uint64_t kBackoffCapMs = 5000;
-
-double seconds_between(std::chrono::steady_clock::time_point from,
-                       std::chrono::steady_clock::time_point to) {
-  return std::chrono::duration<double>(to - from).count();
-}
 
 std::string_view source_name(ExperimentOutcome::Source source) {
   switch (source) {
@@ -562,6 +556,14 @@ std::optional<DriverOptions> parse_args(int argc, const char* const* argv,
     out_value = args[++i];
     return true;
   };
+  // Every number goes through stats::parse_uint64/parse_finite: digits
+  // only, so "3abc", "-1", "nan" and "inf" are usage errors.
+  const auto reject = [&err](std::string_view flag, std::string_view expected,
+                             const std::string& value) {
+    err << "vdbench: " << flag << " expects " << expected << ", got '"
+        << value << "'\n";
+    return std::optional<DriverOptions>();
+  };
   const auto flag_matches = [](const std::string& arg, std::string_view flag) {
     return arg == flag ||
            (arg.size() > flag.size() && arg.compare(0, flag.size(), flag) == 0 &&
@@ -620,68 +622,39 @@ std::optional<DriverOptions> parse_args(int argc, const char* const* argv,
       options.artifact_dir = value;
     } else if (flag_matches(arg, "--threads")) {
       if (!take_value(i, "--threads", value)) return std::nullopt;
-      try {
-        const long parsed = std::stol(value);
-        if (parsed < 1) throw std::invalid_argument("non-positive");
-        options.threads = static_cast<std::size_t>(parsed);
-      } catch (const std::exception&) {
-        err << "vdbench: --threads expects a positive integer, got '"
-            << value << "'\n";
-        return std::nullopt;
-      }
+      const std::optional<std::uint64_t> n = stats::parse_uint64(value);
+      if (!n || *n < 1)
+        return reject("--threads", "a positive integer", value);
+      options.threads = static_cast<std::size_t>(*n);
     } else if (flag_matches(arg, "--retries")) {
       if (!take_value(i, "--retries", value)) return std::nullopt;
-      try {
-        const long parsed = std::stol(value);
-        if (parsed < 0) throw std::invalid_argument("negative");
-        options.retries = static_cast<std::size_t>(parsed);
-      } catch (const std::exception&) {
-        err << "vdbench: --retries expects a non-negative integer, got '"
-            << value << "'\n";
-        return std::nullopt;
-      }
+      const std::optional<std::uint64_t> n = stats::parse_uint64(value);
+      if (!n) return reject("--retries", "a non-negative integer", value);
+      options.retries = static_cast<std::size_t>(*n);
     } else if (flag_matches(arg, "--retry-backoff-ms")) {
       if (!take_value(i, "--retry-backoff-ms", value)) return std::nullopt;
-      try {
-        options.retry_backoff_ms = std::stoull(value);
-      } catch (const std::exception&) {
-        err << "vdbench: --retry-backoff-ms expects a non-negative integer, "
-               "got '"
-            << value << "'\n";
-        return std::nullopt;
-      }
+      const std::optional<std::uint64_t> n = stats::parse_uint64(value);
+      if (!n)
+        return reject("--retry-backoff-ms", "a non-negative integer", value);
+      options.retry_backoff_ms = *n;
     } else if (flag_matches(arg, "--timeout-sec")) {
       if (!take_value(i, "--timeout-sec", value)) return std::nullopt;
-      try {
-        options.timeout_sec = std::stod(value);
-        if (options.timeout_sec <= 0.0)
-          throw std::invalid_argument("non-positive");
-      } catch (const std::exception&) {
-        err << "vdbench: --timeout-sec expects a positive number, got '"
-            << value << "'\n";
-        return std::nullopt;
-      }
+      const std::optional<double> x = stats::parse_finite(value);
+      if (!x || *x <= 0.0)
+        return reject("--timeout-sec", "a positive number", value);
+      options.timeout_sec = *x;
     } else if (flag_matches(arg, "--cache-max-bytes")) {
       if (!take_value(i, "--cache-max-bytes", value)) return std::nullopt;
-      try {
-        options.cache_max_bytes = std::stoull(value);
-        if (options.cache_max_bytes == 0) throw std::invalid_argument("zero");
-      } catch (const std::exception&) {
-        err << "vdbench: --cache-max-bytes expects a positive integer, got '"
-            << value << "'\n";
-        return std::nullopt;
-      }
+      const std::optional<std::uint64_t> n = stats::parse_uint64(value);
+      if (!n || *n == 0)
+        return reject("--cache-max-bytes", "a positive integer", value);
+      options.cache_max_bytes = *n;
     } else if (flag_matches(arg, "--min-hit-rate")) {
       if (!take_value(i, "--min-hit-rate", value)) return std::nullopt;
-      try {
-        options.min_hit_rate = std::stod(value);
-        if (options.min_hit_rate < 0.0 || options.min_hit_rate > 1.0)
-          throw std::invalid_argument("out of range");
-      } catch (const std::exception&) {
-        err << "vdbench: --min-hit-rate expects a value in [0, 1], got '"
-            << value << "'\n";
-        return std::nullopt;
-      }
+      const std::optional<double> x = stats::parse_finite(value);
+      if (!x || *x > 1.0)
+        return reject("--min-hit-rate", "a value in [0, 1]", value);
+      options.min_hit_rate = *x;
     } else {
       err << "vdbench: unknown option '" << arg << "'\n" << kUsage;
       return std::nullopt;
@@ -842,13 +815,19 @@ RunOutcome run_driver(const ExperimentRegistry& registry,
   // request. It lives for this call only — every run computes its own.
   core::Study study;
 
-  const auto run_start = std::chrono::steady_clock::now();
+  const std::int64_t run_start_ns = obs::now_ns();
+  const auto run_seconds = [run_start_ns] {
+    return static_cast<double>(obs::now_ns() - run_start_ns) * 1e-9;
+  };
   std::vector<std::string> payloads;
   payloads.reserve(selected.size());
   bool aborted_fail_fast = false;
 
   for (const Experiment* experiment : selected) {
-    const obs::Span experiment_span(obs::names::kDriverExperiment, experiment->id);
+    // The experiment's span ends where its seconds are taken, before the
+    // manifest write, so the two share their clock readings.
+    obs::TimedSpan experiment_span(obs::names::kDriverExperiment,
+                                   experiment->id);
     ExperimentContext::StreamRun stream_run;
     ExperimentContext::CorpusRun corpus_run;
     std::string key_config = experiment->config;
@@ -875,7 +854,6 @@ RunOutcome run_driver(const ExperimentRegistry& registry,
       outcome.resumed = true;
       outcome.attempts = prior->attempts;
     }
-    const auto exp_start = std::chrono::steady_clock::now();
 
     out << "\n=== " << experiment->id << " — " << experiment->title << "\n";
     if (prior != nullptr && prior->ok)
@@ -924,22 +902,25 @@ RunOutcome run_driver(const ExperimentRegistry& registry,
       for (std::size_t attempt_no = 0; attempt_no <= options.retries;
            ++attempt_no) {
         if (attempt_no > 0) {
+          // A cancelled run (a daemon session's deadline, a drain, a
+          // vanished client) stops retrying: every further attempt would
+          // fail at once. An attempt's own --timeout-sec token is
+          // uninstalled by now, so watchdog timeouts still retry.
+          if (stats::cancellation_requested()) break;
           obs::count(obs::Counter::kRetries);
           const std::uint64_t delay =
               backoff_delay_ms(options.retry_backoff_ms, attempt_no);
           if (delay > 0)
             std::this_thread::sleep_for(std::chrono::milliseconds(delay));
+          if (stats::cancellation_requested()) break;
         }
         stats::StageTimer attempt_timer;
-        const auto attempt_start = std::chrono::steady_clock::now();
-        {
-          const obs::Span attempt_span(obs::names::kDriverAttempt, experiment->id);
-          attempt = execute_attempt(*experiment, options.timeout_sec,
-                                    attempt_timer, study, stream_run,
-                                    corpus_run);
-        }
-        const double attempt_seconds = seconds_between(
-            attempt_start, std::chrono::steady_clock::now());
+        obs::TimedSpan attempt_span(obs::names::kDriverAttempt,
+                                    experiment->id);
+        attempt = execute_attempt(*experiment, options.timeout_sec,
+                                  attempt_timer, study, stream_run,
+                                  corpus_run);
+        const double attempt_seconds = attempt_span.stop();
         outcome.attempts.push_back({attempt.ok ? "ok" : attempt.error_class,
                                     attempt.error, attempt_seconds, false});
         timer = std::move(attempt_timer);
@@ -981,8 +962,7 @@ RunOutcome run_driver(const ExperimentRegistry& registry,
       }
     }
 
-    outcome.seconds =
-        seconds_between(exp_start, std::chrono::steady_clock::now());
+    outcome.seconds = experiment_span.stop();
     outcome.stages = timer.stages();
     if (outcome.source == ExperimentOutcome::Source::kCacheHit)
       outcome.attempts.push_back({"ok", "", outcome.seconds, false});
@@ -1001,8 +981,7 @@ RunOutcome run_driver(const ExperimentRegistry& registry,
     // Crash-safety: publish the manifest after every experiment so a killed
     // run leaves a resumable record of everything that finished.
     if (!options.manifest_path.empty()) {
-      run.total_seconds =
-          seconds_between(run_start, std::chrono::steady_clock::now());
+      run.total_seconds = run_seconds();
       const std::size_t lookups_so_far = run.hits + run.misses;
       run.hit_rate = lookups_so_far == 0
                          ? 0.0
@@ -1023,8 +1002,7 @@ RunOutcome run_driver(const ExperimentRegistry& registry,
     }
   }
 
-  run.total_seconds =
-      seconds_between(run_start, std::chrono::steady_clock::now());
+  run.total_seconds = run_seconds();
   const std::size_t lookups = run.hits + run.misses;
   run.hit_rate = lookups == 0
                      ? 0.0
@@ -1115,16 +1093,12 @@ int vdbench_main(int argc, const char* const* argv,
     std::cerr << "vdbench: " << e.what() << "\n";
     return kExitUsage;
   }
-  if (obs::Profiler::global().arm_from_env())
-    std::cerr << "vdbench: profiler armed from VDBENCH_PROF\n";
   bool help_shown = false;
   std::optional<DriverOptions> options =
       parse_args(argc, argv, std::cerr, &help_shown);
   if (!options) return help_shown ? kExitOk : kExitUsage;
   options->study_seed = study_seed;
-  const int exit_code = run_driver(registry, *options, std::cout).exit_code;
-  if (obs::Profiler::global().armed()) obs::Profiler::global().print(std::cerr);
-  return exit_code;
+  return run_driver(registry, *options, std::cout).exit_code;
 }
 
 }  // namespace vdbench::cli

@@ -4,6 +4,8 @@
 
 #include "report/json.h"
 #include "report/json_reader.h"
+#include "stats/env.h"
+#include "stats/parallel.h"
 
 namespace vdbench::net {
 
@@ -53,16 +55,9 @@ bool read_u64(const report::JsonValue& doc, std::string_view key,
   if (member == nullptr) return true;  // absent = keep default
   if (const report::OptionalView<std::string_view> text =
           member->as_string()) {
-    if (text->empty() || text->size() > 20) return false;
-    std::uint64_t value = 0;
-    for (const char c : *text) {
-      if (c < '0' || c > '9') return false;
-      const auto digit = static_cast<std::uint64_t>(c - '0');
-      if (value > (UINT64_MAX - digit) / 10) return false;  // overflow
-      value = value * 10 + digit;
-    }
-    out = value;
-    return true;
+    const std::optional<std::uint64_t> value = stats::parse_uint64(*text);
+    if (value) out = *value;
+    return value.has_value();
   }
   return read_count(doc, key, out);
 }
@@ -108,7 +103,10 @@ std::optional<StudyRequest> decode_request(std::string_view json) {
       return std::nullopt;
     request.timeout_sec = *number;
   }
-  if (request.experiments.empty()) return std::nullopt;
+  // A larger pool could fail part-way through its constructor and end the
+  // daemon for every client; the session gets status "usage" instead.
+  if (request.experiments.empty() || threads > stats::kMaxThreads)
+    return std::nullopt;
   request.threads = static_cast<std::size_t>(threads);
   request.retries = static_cast<std::size_t>(retries);
   return request;

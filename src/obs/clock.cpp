@@ -11,4 +11,10 @@ std::uint64_t wall_clock_seconds() noexcept {
           .count());
 }
 
+std::int64_t now_ns() noexcept {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
 }  // namespace vdbench::obs

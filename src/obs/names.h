@@ -1,14 +1,15 @@
 // The registered span-name set — the single spelling for every trace span
 // and driver-level StageTimer phase the harness emits.
 //
-// Span names appear in four places that must agree byte-for-byte: the
-// --trace-out Chrome trace, the VDBENCH_PROF profile summary, the golden
-// trace test's legal-name set, and the documentation. Before this header
-// each site spelled its name as a raw literal and the golden test carried
-// a parallel copy; now the constants below are the registry, the golden
-// test enumerates kAllSpans, and the vdlint `vdl-span-name` rule parses
-// this file's string table to reject any obs::Span / obs::instant call
-// site whose literal is not registered here.
+// Span names appear in three places that must agree byte-for-byte: the
+// --trace-out Chrome trace, the golden trace test's legal-name set, and the
+// documentation. Before this header each site spelled its name as a raw
+// literal and the golden test carried a parallel copy; now the constants
+// below are the registry, the golden test enumerates kAllSpans, and the
+// vdlint `vdl-span-name` rule parses this file's string table to reject
+// any obs::Span / obs::instant call site whose literal is not registered
+// here. (The driver's obs::TimedSpan sites pass these constants too; the
+// rule does not look at them.)
 //
 // Bench experiment phases live in bench/experiments.h `stage::` (the
 // driver cannot see bench headers); the two kPhase* constants below are

@@ -1,13 +1,11 @@
 #include "obs/trace.h"
 
-#include <chrono>
 #include <limits>
 #include <memory>
 #include <mutex>
 #include <sstream>
 #include <vector>
 
-#include "obs/profile.h"
 #include "obs/registry.h"
 
 namespace vdbench::obs {
@@ -38,20 +36,14 @@ struct TracerState {
   std::uint32_t next_tid = 0;
   // Bumped by Tracer::start so stale thread_local logs re-register.
   std::atomic<std::uint64_t> epoch{1};
-  // steady_clock nanoseconds at trace start; atomic so recording threads
-  // can read it without locking (tsan-clean).
+  // now_ns() at trace start; atomic so recording threads can read it
+  // without locking (tsan-clean).
   std::atomic<std::int64_t> start_ns{0};
 };
 
 TracerState& state() {
   static TracerState s;
   return s;
-}
-
-std::int64_t steady_ns() noexcept {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
 }
 
 // The calling thread's log for the current trace epoch, registering a
@@ -72,11 +64,11 @@ ThreadLog& thread_log() {
   return *tl_log;
 }
 
-void record_event(char phase, std::string_view name,
-                  std::string_view detail) {
+// `now` is the caller's now_ns() reading of the event's instant.
+void record_event(char phase, std::string_view name, std::string_view detail,
+                  std::int64_t now) {
   TracerState& s = state();
   const std::int64_t start = s.start_ns.load(std::memory_order_acquire);
-  const std::int64_t now = steady_ns();
   ThreadLog& log = thread_log();
   TraceEvent event;
   event.name.assign(name);
@@ -112,25 +104,19 @@ void append_escaped(std::string& out, std::string_view text) {
 }  // namespace
 
 void Span::begin(std::string_view name, std::string_view detail,
-                 unsigned mask) {
-  mask_ = mask;
+                 std::int64_t ns) {
+  armed_ = true;
   name_.assign(name);
-  start_ns_ = steady_ns();
-  if ((mask_ & detail::kMaskTrace) != 0) record_event('B', name_, detail);
+  record_event('B', name_, detail, ns);
 }
 
-void Span::end() {
-  if ((mask_ & detail::kMaskTrace) != 0) record_event('E', name_, {});
-  if ((mask_ & detail::kMaskProfile) != 0) {
-    const double micros =
-        static_cast<double>(steady_ns() - start_ns_) / 1000.0;
-    Profiler::global().record(name_, micros);
-  }
+void Span::end(std::int64_t ns) {
+  armed_ = false;
+  record_event('E', name_, {}, ns);
 }
 
 void instant(std::string_view name, std::string_view detail) {
-  if ((detail::span_mask() & detail::kMaskTrace) != 0)
-    record_event('i', name, detail);
+  if (detail::tracing()) record_event('i', name, detail, now_ns());
 }
 
 void Tracer::start() {
@@ -140,15 +126,13 @@ void Tracer::start() {
     s.logs.clear();
     s.next_tid = 0;
   }
-  s.start_ns.store(steady_ns(), std::memory_order_release);
+  s.start_ns.store(now_ns(), std::memory_order_release);
   s.epoch.fetch_add(1, std::memory_order_release);
-  detail::g_span_mask.fetch_or(detail::kMaskTrace,
-                               std::memory_order_relaxed);
+  detail::g_tracing.store(true, std::memory_order_relaxed);
 }
 
 void Tracer::stop() {
-  detail::g_span_mask.fetch_and(~detail::kMaskTrace,
-                                std::memory_order_relaxed);
+  detail::g_tracing.store(false, std::memory_order_relaxed);
 }
 
 std::size_t Tracer::event_count() const {

@@ -5,10 +5,15 @@
 // supervise/attempt/replay, executor tasks, cache lookups and stores,
 // fault firings, and (through stats::StageTimer) every experiment phase —
 // so one flame view shows where a whole study spent its time. The layer
-// obeys one hard budget: when neither tracing nor profiling is armed, a
-// span site costs exactly one relaxed atomic load (the same fast-path
-// discipline the fault injector uses) and performs no allocation; the
-// `trace.events` counter stays at zero, which the test suite asserts.
+// obeys one hard budget: when tracing is off, a span site costs exactly
+// one relaxed atomic load (the same fast-path discipline the fault
+// injector uses) and performs no allocation; the `trace.events` counter
+// stays at zero, which the test suite asserts.
+//
+// Spans whose durations the program reports (StageTimer scopes, the
+// driver's experiments and attempts) are TimedSpans: they read
+// obs::now_ns() once per boundary whether or not tracing is on, and a
+// traced run writes those same readings into their B/E events.
 //
 // Events are buffered per thread (a thread_local log registered with the
 // process-wide tracer) so recording never takes a lock; buffers are merged
@@ -23,29 +28,26 @@
 #include <string>
 #include <string_view>
 
+#include "obs/clock.h"
+
 namespace vdbench::obs {
 
 namespace detail {
 
-/// Bitmask of armed span consumers, checked by every span site.
-inline constexpr unsigned kMaskTrace = 1U;
-inline constexpr unsigned kMaskProfile = 2U;
+/// The one word a disarmed span site reads: whether Tracer::start has armed
+/// recording. Relaxed is enough because arming happens before the run being
+/// observed and the data it gates is per-thread.
+inline std::atomic<bool> g_tracing{false};
 
-/// The one word a disarmed span site reads. Set by Tracer::start/stop and
-/// Profiler::arm/disarm; relaxed is enough because arming happens before
-/// the run being observed and the data it gates is per-thread.
-inline std::atomic<unsigned> g_span_mask{0};
-
-[[nodiscard]] inline unsigned span_mask() noexcept {
-  return g_span_mask.load(std::memory_order_relaxed);
+[[nodiscard]] inline bool tracing() noexcept {
+  return g_tracing.load(std::memory_order_relaxed);
 }
 
 }  // namespace detail
 
 /// RAII duration span. Inactive (default) spans are inert value objects;
 /// active ones record a "B" event at construction and an "E" event at
-/// destruction into the current thread's buffer, and/or report their
-/// duration to the profiler.
+/// destruction into the current thread's buffer.
 class Span {
  public:
   Span() noexcept = default;
@@ -53,28 +55,50 @@ class Span {
   /// "Observability"); `detail` is an optional free-form argument rendered
   /// into the event's args (experiment id, task index).
   explicit Span(std::string_view name, std::string_view detail = {}) {
-    const unsigned mask = detail::span_mask();
-    if (mask != 0) begin(name, detail, mask);
+    if (detail::tracing()) begin(name, detail, now_ns());
   }
   Span(Span&& other) noexcept
-      : mask_(other.mask_), start_ns_(other.start_ns_),
-        name_(std::move(other.name_)) {
-    other.mask_ = 0;
+      : armed_(other.armed_), name_(std::move(other.name_)) {
+    other.armed_ = false;
   }
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
   Span& operator=(Span&&) = delete;
   ~Span() {
-    if (mask_ != 0) end();
+    if (armed_) end(now_ns());
   }
 
  private:
-  void begin(std::string_view name, std::string_view detail, unsigned mask);
-  void end();
+  friend class TimedSpan;
+  void begin(std::string_view name, std::string_view detail, std::int64_t ns);
+  void end(std::int64_t ns);
 
-  unsigned mask_ = 0;
-  std::int64_t start_ns_ = 0;
+  bool armed_ = false;
   std::string name_;
+};
+
+/// A span whose duration the program reports. It reads now_ns() exactly
+/// once at each boundary, whether or not tracing is on; a traced run writes
+/// those two readings into the span's B/E events, so the reported seconds
+/// and the trace agree to the trace's 1 µs resolution.
+class TimedSpan {
+ public:
+  explicit TimedSpan(std::string_view name, std::string_view detail = {})
+      : start_ns_(now_ns()) {
+    if (detail::tracing()) span_.begin(name, detail, start_ns_);
+  }
+
+  /// End the span and return its duration in seconds. Call once; a span
+  /// that is never stopped ends when destroyed.
+  double stop() {
+    const std::int64_t end_ns = now_ns();
+    if (span_.armed_) span_.end(end_ns);
+    return static_cast<double>(end_ns - start_ns_) * 1e-9;
+  }
+
+ private:
+  std::int64_t start_ns_;
+  Span span_;
 };
 
 /// Record an "i" (instant) event — a point-in-time marker such as a fault
@@ -92,9 +116,7 @@ class Tracer {
   void start();
   /// Stop recording (collected events remain available to render_json).
   void stop();
-  [[nodiscard]] bool active() const noexcept {
-    return (detail::span_mask() & detail::kMaskTrace) != 0;
-  }
+  [[nodiscard]] bool active() const noexcept { return detail::tracing(); }
 
   /// Events collected since start(), across all threads.
   [[nodiscard]] std::size_t event_count() const;

@@ -100,6 +100,9 @@ class ScopedCancellationToken {
 /// wedge a run; past the cap it throws fault::InjectedFault.
 [[noreturn]] void stall_until_cancelled(std::string_view point);
 
+/// The most threads a daemon request may ask the pool for.
+inline constexpr std::size_t kMaxThreads = 256;
+
 /// Fixed-size thread pool with an indexed fork-join primitive.
 class ParallelExecutor {
  public:

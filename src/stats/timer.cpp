@@ -19,12 +19,4 @@ void StageTimer::record(const std::string& label, double seconds) {
   stages_.push_back(Stage{label, seconds, 1});
 }
 
-void StageTimer::stop(const Scope& scope) {
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    scope.start_)
-          .count();
-  record(scope.label_, elapsed < 0.0 ? 0.0 : elapsed);
-}
-
 }  // namespace vdbench::stats

@@ -135,6 +135,15 @@ TEST(ParseArgsTest, RejectsUnknownFlagsAndBadValues) {
   EXPECT_FALSE(parse_args(2, missing_value, err, &help).has_value());
   const char* bad_rate[] = {"vdbench", "--min-hit-rate=1.5"};
   EXPECT_FALSE(parse_args(2, bad_rate, err, &help).has_value());
+  // Numbers are digits only: no trailing junk, sign, whitespace, overflow
+  // or non-finite value gets through (a NaN rate would turn the gate off).
+  for (const char* bad : {"--threads=3abc", "--threads= 3", "--threads=+3",
+                          "--cache-max-bytes=-1",
+                          "--cache-max-bytes=18446744073709551616",
+                          "--min-hit-rate=nan", "--min-hit-rate=-0"}) {
+    const char* argv[] = {"vdbench", bad};
+    EXPECT_FALSE(parse_args(2, argv, err, &help).has_value()) << bad;
+  }
   EXPECT_FALSE(help);
   const char* help_flag[] = {"vdbench", "--help"};
   EXPECT_FALSE(parse_args(2, help_flag, err, &help).has_value());
@@ -361,6 +370,13 @@ TEST(ParseArgsTest, RejectsBadResilienceValues) {
   EXPECT_FALSE(parse_args(2, bad_timeout, err, &help).has_value());
   const char* bad_backoff[] = {"vdbench", "--retry-backoff-ms=ten"};
   EXPECT_FALSE(parse_args(2, bad_backoff, err, &help).has_value());
+  // A non-finite watchdog would fail every attempt at once as "timeout".
+  for (const char* bad : {"--timeout-sec=inf", "--timeout-sec=nan",
+                          "--timeout-sec=1e3", "--retries=2x",
+                          "--retry-backoff-ms=-5"}) {
+    const char* argv[] = {"vdbench", bad};
+    EXPECT_FALSE(parse_args(2, argv, err, &help).has_value()) << bad;
+  }
 }
 
 // A registry whose "flaky" experiment fails its first `failures` attempts,
@@ -407,6 +423,24 @@ TEST_F(DriverTest, RetryRecoversAndResultIsByteIdenticalToCleanRun) {
             std::string::npos);
   // The recovered run's export is byte-identical to the clean run's.
   EXPECT_EQ(slurp(dir_ / "clean.json"), slurp(dir_ / "recovered.json"));
+}
+
+TEST_F(DriverTest, CancelledRunStopsRetrying) {
+  // A daemon session's token fires on its deadline, a drain or a vanished
+  // client; once it has, every retry would fail at once.
+  DriverOptions options = base_options();
+  options.quiet = true;
+  options.retries = 5;
+  options.retry_backoff_ms = 0;
+  stats::CancellationToken token;
+  token.request_cancel();
+  const stats::ScopedCancellationToken install(&token);
+  std::ostringstream out;
+  const RunOutcome run = run_driver(
+      flaky_registry(std::make_shared<int>(100)), options, out);
+  ASSERT_EQ(run.experiments.size(), 1u);
+  EXPECT_EQ(run.experiments[0].attempts.size(), 1u) << out.str();
+  EXPECT_EQ(run.exit_code, kExitUnusable);
 }
 
 TEST_F(DriverTest, ExhaustedRetriesFailTheExperiment) {

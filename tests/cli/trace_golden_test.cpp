@@ -4,8 +4,8 @@
 // B/E pairs per thread, and every span name drawn from the documented set
 // (obs/names.h kAllSpans plus the stage:: kAllNames/kAllPrefixes tables in
 // bench/experiments.h). Also pins the manifest telemetry block's counter
-// inventory and the warm/cold byte-identity of --json-out with telemetry
-// present.
+// inventory, the warm/cold byte-identity of --json-out with telemetry
+// present, and that the manifest's durations are the trace's.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -15,6 +15,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "cli/driver.h"
 #include "cli/experiment.h"
@@ -76,6 +77,43 @@ bool is_documented_name(const std::string& name) {
   for (const std::string_view prefix : bench::stage::kAllPrefixes)
     if (name.starts_with(prefix)) return true;
   return false;
+}
+
+// One B→E pair of a --trace-out document.
+struct TracedSpan {
+  std::string name;
+  std::string detail;
+  double tid = 0.0;
+  double begin_us = 0.0;
+  double end_us = 0.0;
+};
+
+// Pairs each thread's B/E events, which nest per thread, into spans listed
+// in the order they end.
+std::vector<TracedSpan> traced_spans(const report::JsonValue& trace) {
+  std::map<double, std::vector<TracedSpan>> open;
+  std::vector<TracedSpan> spans;
+  for (const report::JsonValue& event :
+       *trace.member("traceEvents")->as_array()) {
+    const std::string_view phase = *event.member("ph")->as_string();
+    const double tid = *event.member("tid")->as_number();
+    const double ts = *event.member("ts")->as_number();
+    if (phase == "B") {
+      TracedSpan span;
+      span.name = *event.member("name")->as_string();
+      if (const report::JsonValue* args = event.member("args"))
+        span.detail = *args->member("detail")->as_string();
+      span.tid = tid;
+      span.begin_us = ts;
+      open[tid].push_back(std::move(span));
+    } else if (phase == "E" && !open[tid].empty()) {
+      TracedSpan span = std::move(open[tid].back());
+      open[tid].pop_back();
+      span.end_us = ts;
+      spans.push_back(std::move(span));
+    }
+  }
+  return spans;
 }
 
 TEST_F(TraceGoldenTest, ProbeRunEmitsValidBalancedDocumentedTrace) {
@@ -181,6 +219,90 @@ TEST_F(TraceGoldenTest, ManifestTelemetryExportsEveryCounterAndGauge) {
   // experiment and its 256 executor tasks.
   EXPECT_GE(*counters->member("experiments.computed")->as_number(), 1.0);
   EXPECT_GE(*counters->member("tasks.executed")->as_number(), 256.0);
+}
+
+TEST_F(TraceGoldenTest, ManifestDurationsAreTheTracesSpans) {
+  // Stage scopes and the driver's experiment and attempt spans read the
+  // clock once per boundary and write those readings into the trace, so
+  // each manifest duration equals its B→E pairs to the trace's 1 µs
+  // resolution per call.
+  ExperimentRegistry registry = bench::study_registry();
+  registry.add({"phases", "two phases, one run twice", "phases{}", false,
+                [](ExperimentContext& ctx) {
+                  for (const char* label : {"phase a", "phase b", "phase a"}) {
+                    const auto scope = ctx.timer.scope(label);
+                    volatile double sink = 0.0;
+                    for (int i = 0; i < 20000; ++i)
+                      sink = sink + static_cast<double>(i);
+                  }
+                }});
+  DriverOptions options = base_options();
+  options.experiments = "probe,phases";
+  options.use_cache = false;
+  options.threads = 2;
+  options.trace_out = (dir_ / "trace.json").string();
+  std::ostringstream out;
+  ASSERT_EQ(run_driver(registry, options, out).exit_code, kExitOk)
+      << out.str();
+
+  const std::string manifest_text = slurp(dir_ / "manifest.json");
+  const std::string trace_text = slurp(dir_ / "trace.json");
+  const std::optional<report::JsonDocument> manifest =
+      report::parse_json(manifest_text);
+  const std::optional<report::JsonDocument> trace =
+      report::parse_json(trace_text);
+  ASSERT_TRUE(manifest.has_value());
+  ASSERT_TRUE(trace.has_value());
+  const std::vector<TracedSpan> spans = traced_spans(trace->root());
+  const auto seconds = [](const report::JsonValue& entry) {
+    return *entry.member("seconds")->as_number();
+  };
+
+  const report::JsonArray experiments =
+      *manifest->root().member("experiments")->as_array();
+  ASSERT_EQ(experiments.size(), 2u);
+  for (const report::JsonValue& experiment : experiments) {
+    const std::string id(*experiment.member("id")->as_string());
+    const TracedSpan* whole = nullptr;
+    std::vector<const TracedSpan*> attempt_spans;
+    for (const TracedSpan& span : spans) {
+      if (span.detail != id) continue;
+      if (span.name == obs::names::kDriverExperiment) whole = &span;
+      if (span.name == obs::names::kDriverAttempt)
+        attempt_spans.push_back(&span);
+    }
+    ASSERT_NE(whole, nullptr) << id;
+    EXPECT_NEAR(seconds(experiment) * 1e6, whole->end_us - whole->begin_us,
+                1.0)
+        << id;
+
+    const report::JsonArray attempts =
+        *experiment.member("attempts")->as_array();
+    ASSERT_EQ(attempts.size(), attempt_spans.size()) << id;
+    for (std::size_t a = 0; a < attempts.size(); ++a)
+      EXPECT_NEAR(seconds(attempts[a]) * 1e6,
+                  attempt_spans[a]->end_us - attempt_spans[a]->begin_us, 1.0)
+          << id << " attempt " << a;
+
+    const report::JsonArray stages = *experiment.member("stages")->as_array();
+    ASSERT_FALSE(stages.empty()) << id;
+    for (const report::JsonValue& stage : stages) {
+      const std::string label(*stage.member("label")->as_string());
+      const double calls = *stage.member("calls")->as_number();
+      double traced_us = 0.0;
+      double traced_calls = 0.0;
+      for (const TracedSpan& span : spans) {
+        if (span.name != label || span.tid != whole->tid ||
+            span.begin_us < whole->begin_us || span.end_us > whole->end_us)
+          continue;
+        traced_us += span.end_us - span.begin_us;
+        ++traced_calls;
+      }
+      EXPECT_EQ(traced_calls, calls) << id << " " << label;
+      EXPECT_NEAR(seconds(stage) * 1e6, traced_us, calls)
+          << id << " " << label;
+    }
+  }
 }
 
 TEST_F(TraceGoldenTest, JsonExportStaysByteIdenticalWarmVsCold) {

@@ -88,6 +88,10 @@ TEST(StudyRequestTest, RejectsMalformedDocuments) {
   EXPECT_FALSE(
       decode_request("{\"study_seed\": \"18446744073709551616\"}")
           .has_value());
+  // A pool above stats::kMaxThreads could end the daemon for every client.
+  EXPECT_TRUE(decode_request("{\"threads\": 256}").has_value());
+  EXPECT_FALSE(decode_request("{\"threads\": 257}").has_value());
+  EXPECT_FALSE(decode_request("{\"threads\": 9000000000000000}").has_value());
 }
 
 TEST(StudyStatusTest, RoundTripsStatusAndError) {

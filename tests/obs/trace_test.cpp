@@ -1,13 +1,13 @@
-// Tests for the tracing + profiling layer: event capture and JSON schema,
-// multi-thread tid assignment, JSON escaping, the profiler summary path,
-// and — the layer's load-bearing promise — that a disarmed span site
-// records nothing and allocates nothing.
+// Tests for the tracing layer: event capture and JSON schema, multi-thread
+// tid assignment, JSON escaping, timed spans' shared clock readings, and —
+// the layer's load-bearing promise — that a disarmed span site records
+// nothing and allocates nothing.
 #include "obs/trace.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <new>
 #include <set>
@@ -15,7 +15,6 @@
 #include <thread>
 #include <vector>
 
-#include "obs/profile.h"
 #include "obs/registry.h"
 #include "report/json_reader.h"
 
@@ -66,7 +65,6 @@ namespace {
 
 TEST(SpanOverheadTest, DisarmedSpanSiteRecordsNothingAndAllocatesNothing) {
   ASSERT_FALSE(Tracer::global().active());
-  ASSERT_FALSE(Profiler::global().armed());
   const std::uint64_t events_before =
       Registry::global().value(Counter::kTraceEvents);
 #if VDBENCH_COUNT_ALLOCS
@@ -189,37 +187,33 @@ TEST(TracerTest, TraceEventsCounterTracksRecordedEvents) {
   EXPECT_EQ(Registry::global().value(Counter::kTraceEvents), before + 3);
 }
 
-TEST(ProfilerTest, CollectsPerSpanSummariesWhileArmed) {
-  Profiler& profiler = Profiler::global();
-  profiler.clear();
-  profiler.arm();
-  for (int i = 0; i < 10; ++i) {
-    // vdlint:allow(vdl-span-name)
-    const Span span("profiler.unit.span");
+TEST(TracerTest, TimedSpanWritesItsOwnReadingsIntoItsEvents) {
+  Tracer& tracer = Tracer::global();
+  tracer.start();
+  double seconds = 0.0;
+  {
+    TimedSpan span("driver.attempt", "t1");
+    volatile double sink = 0.0;
+    for (int i = 0; i < 100000; ++i) sink = sink + static_cast<double>(i);
+    seconds = span.stop();
   }
-  profiler.disarm();
-  ASSERT_FALSE(profiler.armed());
+  tracer.stop();
+  ASSERT_EQ(tracer.event_count(), 2u) << "stop() ends the span exactly once";
 
-  const std::vector<Profiler::Summary> summaries = profiler.summaries();
-  const auto it = std::find_if(
-      summaries.begin(), summaries.end(),
-      [](const Profiler::Summary& s) { return s.name == "profiler.unit.span"; });
-  ASSERT_NE(it, summaries.end());
-  EXPECT_EQ(it->count, 10u);
-  EXPECT_GE(it->p95_us, it->p50_us);
-  EXPECT_GE(it->max_us, it->p95_us);
-  EXPECT_GE(it->total_us, it->max_us);
-
-  // Disarmed spans no longer report.
-  // vdlint:allow(vdl-span-name)
-  { const Span span("profiler.unit.span"); }
-  const std::vector<Profiler::Summary> after = profiler.summaries();
-  const auto it2 = std::find_if(
-      after.begin(), after.end(),
-      [](const Profiler::Summary& s) { return s.name == "profiler.unit.span"; });
-  ASSERT_NE(it2, after.end());
-  EXPECT_EQ(it2->count, 10u);
-  profiler.clear();
+  const std::string json = tracer.render_json();
+  const std::optional<report::JsonDocument> parsed = report::parse_json(json);
+  ASSERT_TRUE(parsed.has_value());
+  const report::JsonArray events =
+      *parsed->root().member("traceEvents")->as_array();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(*events[0].member("ph")->as_string(), "B");
+  EXPECT_EQ(*events[1].member("ph")->as_string(), "E");
+  const double traced_us = *events[1].member("ts")->as_number() -
+                           *events[0].member("ts")->as_number();
+  // Both events carry the span's own readings, each truncated to whole
+  // microseconds, so they differ from stop()'s result by less than 1 µs.
+  EXPECT_GT(seconds, 0.0);
+  EXPECT_LT(std::abs(seconds * 1e6 - traced_us), 1.0);
 }
 
 }  // namespace

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
+
+#include "obs/clock.h"
 
 namespace vdbench::stats {
 namespace {
@@ -26,16 +29,20 @@ TEST(StageTimerTest, RecordRejectsNegativeDuration) {
 
 TEST(StageTimerTest, ScopeRecordsElapsedTime) {
   StageTimer timer;
-  {
+  const std::int64_t before_ns = obs::now_ns();
+  for (int call = 0; call < 2; ++call) {
     // vdlint:allow(vdl-phase-literal)
     const auto scope = timer.scope("work");
     volatile double sink = 0.0;
     for (int i = 0; i < 10000; ++i) sink = sink + static_cast<double>(i);
   }
+  const double bracket = static_cast<double>(obs::now_ns() - before_ns) * 1e-9;
   ASSERT_EQ(timer.stages().size(), 1u);
   EXPECT_EQ(timer.stages()[0].label, "work");
-  EXPECT_GE(timer.stages()[0].seconds, 0.0);
-  EXPECT_EQ(timer.stages()[0].calls, 1u);
+  EXPECT_EQ(timer.stages()[0].calls, 2u);
+  // Both scopes read obs::now_ns(), between the two readings around them.
+  EXPECT_GT(timer.stages()[0].seconds, 0.0);
+  EXPECT_LE(timer.stages()[0].seconds, bracket);
 }
 
 TEST(StageTimerTest, MovedFromScopeDoesNotDoubleRecord) {

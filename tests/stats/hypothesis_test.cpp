@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "stats/rng.h"
@@ -90,6 +94,63 @@ TEST(ProbabilityOfSuperiorityTest, TiesCountHalf) {
   const std::vector<double> xs = {1.0};
   const std::vector<double> ys = {1.0};
   EXPECT_DOUBLE_EQ(probability_of_superiority(xs, ys), 0.5);
+}
+
+// The all-pairs definition the sort-merge count must reproduce bit for bit.
+double pairwise_superiority(const std::vector<double>& xs,
+                            const std::vector<double>& ys) {
+  double wins = 0.0;
+  for (const double x : xs) {
+    for (const double y : ys) {
+      if (x > y)
+        wins += 1.0;
+      else if (x == y)
+        wins += 0.5;
+    }
+  }
+  return wins / (static_cast<double>(xs.size()) *
+                 static_cast<double>(ys.size()));
+}
+
+// Values on a 0.01 grid (many ties) mixed with NaN, both zeros and both
+// infinities.
+std::vector<double> tie_heavy_sample(std::size_t n, Rng& rng) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> out(n);
+  for (double& v : out) {
+    switch (rng.uniform_int(0, 19)) {
+      case 0: v = std::numeric_limits<double>::quiet_NaN(); break;
+      case 1: v = -0.0; break;
+      case 2: v = 0.0; break;
+      case 3: v = kInf; break;
+      case 4: v = -kInf; break;
+      default: v = static_cast<double>(rng.uniform_int(-50, 50)) * 0.01;
+    }
+  }
+  return out;
+}
+
+TEST(ProbabilityOfSuperiorityTest, MatchesThePairwiseDefinitionBitForBit) {
+  const std::pair<std::size_t, std::size_t> sizes[] = {
+      {1, 1}, {1, 3000}, {3000, 1}, {2000, 3000}};
+  for (const auto& [nx, ny] : sizes) {
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      Rng rng(seed * 7919 + nx + ny);
+      const std::vector<double> xs = tie_heavy_sample(nx, rng);
+      const std::vector<double> ys = tie_heavy_sample(ny, rng);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(probability_of_superiority(xs, ys)),
+                std::bit_cast<std::uint64_t>(pairwise_superiority(xs, ys)))
+          << nx << "x" << ny << " seed " << seed;
+    }
+  }
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> cases[][2] = {
+      {{nan}, {nan}}, {{-0.0}, {0.0}}, {{inf}, {inf}}, {{nan, 1.0}, {0.5}},
+      {{-inf}, {nan, -inf, 0.0}}};
+  for (const auto& c : cases)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(probability_of_superiority(c[0], c[1])),
+              std::bit_cast<std::uint64_t>(pairwise_superiority(c[0], c[1])));
 }
 
 TEST(WilsonIntervalTest, BracketsTheProportion) {

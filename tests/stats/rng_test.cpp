@@ -2,9 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <array>
-#include <numeric>
 #include <set>
 
 namespace vdbench::stats {
@@ -212,27 +210,6 @@ TEST(RngTest, SampleWithoutReplacementFull) {
 TEST(RngTest, SampleWithoutReplacementRejectsOversample) {
   Rng rng(43);
   EXPECT_THROW(rng.sample_without_replacement(3, 4), std::invalid_argument);
-}
-
-TEST(RngTest, ShuffleIsPermutation) {
-  Rng rng(47);
-  std::vector<int> v(20);
-  std::iota(v.begin(), v.end(), 0);
-  std::vector<int> shuffled = v;
-  rng.shuffle(shuffled);
-  EXPECT_TRUE(std::is_permutation(v.begin(), v.end(), shuffled.begin()));
-}
-
-TEST(RngTest, PoissonZeroMean) {
-  Rng rng(1);
-  EXPECT_EQ(rng.poisson(0.0), 0u);
-  EXPECT_THROW(rng.poisson(-1.0), std::invalid_argument);
-}
-
-TEST(RngTest, ExponentialPositive) {
-  Rng rng(53);
-  for (int i = 0; i < 100; ++i) EXPECT_GT(rng.exponential(2.0), 0.0);
-  EXPECT_THROW(rng.exponential(0.0), std::invalid_argument);
 }
 
 }  // namespace

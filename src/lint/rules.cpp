@@ -92,6 +92,22 @@ void check_random_device(const RuleMeta& rule, const LintContext& ctx,
   }
 }
 
+void check_std_distribution(const RuleMeta& rule, const LintContext& ctx,
+                            std::vector<Finding>& out) {
+  const auto code = code_tokens(ctx);
+  for (std::size_t i = 0; i < code.size(); ++i) {
+    const CppToken& token = *code[i];
+    if (token.type != CppTokenType::kIdentifier) continue;
+    const bool distribution =
+        token.text.ends_with("_distribution") && is_std_qualified(code, i);
+    if (!distribution && token.text != "generate_canonical") continue;
+    report(out, ctx, token, rule,
+           "std::" + token.text +
+               "'s algorithm is left to the standard library, so its "
+               "numbers differ between toolchains; draw from stats::Rng");
+  }
+}
+
 void check_time(const RuleMeta& rule, const LintContext& ctx,
                 std::vector<Finding>& out) {
   if (path_starts_with(ctx, "src/obs/")) return;
@@ -381,6 +397,9 @@ RuleRegistry RuleRegistry::default_rules() {
   add("vdl-random-device", Severity::kError,
       "std::random_device banned; seeds come from configuration",
       check_random_device);
+  add("vdl-std-distribution", Severity::kError,
+      "std::*_distribution and generate_canonical banned; use stats::Rng",
+      check_std_distribution);
   add("vdl-time", Severity::kError,
       "time() wall-clock reads banned outside src/obs/", check_time);
   add("vdl-wallclock-now", Severity::kError,

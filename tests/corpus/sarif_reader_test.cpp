@@ -42,8 +42,8 @@ TEST(SarifReaderTest, ParsesTheVdlintGoldenReport) {
   const SarifReport report = parse_sarif(text);
   EXPECT_EQ(report.tool_name, "vdlint");
   EXPECT_EQ(report.tool_version, "1.0.0");
-  EXPECT_EQ(report.rules.size(), 14u);
-  ASSERT_EQ(report.findings.size(), 14u);
+  EXPECT_EQ(report.rules.size(), 15u);
+  ASSERT_EQ(report.findings.size(), 15u);
 
   const SarifFinding& first = report.findings.front();
   EXPECT_EQ(first.rule_id, "vdl-env-prefix");

@@ -1,9 +1,10 @@
 #include "fault/injector.h"
 
 #include <algorithm>
-#include <iterator>
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
+#include <iterator>
 
 #include "obs/names.h"
 #include "obs/registry.h"
@@ -36,14 +37,19 @@ std::string_view trim(std::string_view text) {
 std::uint64_t parse_count(std::string_view clause, std::size_t offset,
                           std::string_view digits, std::string_view what) {
   if (digits.empty()) bad_spec(clause, offset, std::string(what) + " is empty");
+  // from_chars takes no sign or whitespace for an unsigned type and reports
+  // overflow instead of wrapping.
   std::uint64_t value = 0;
-  for (const char c : digits) {
-    if (!std::isdigit(static_cast<unsigned char>(c)))
-      bad_spec(clause, offset,
-               std::string(what) + " '" + std::string(digits) +
-                   "' is not a positive integer");
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-  }
+  const char* end = digits.data() + digits.size();
+  const auto [stop, error] = std::from_chars(digits.data(), end, value);
+  if (stop != end || error == std::errc::invalid_argument)
+    bad_spec(clause, offset,
+             std::string(what) + " '" + std::string(digits) +
+                 "' is not a positive integer");
+  if (error == std::errc::result_out_of_range)
+    bad_spec(clause, offset,
+             std::string(what) + " '" + std::string(digits) +
+                 "' exceeds 2^64-1");
   if (value == 0)
     bad_spec(clause, offset, std::string(what) + " must be >= 1");
   return value;

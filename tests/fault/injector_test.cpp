@@ -39,6 +39,16 @@ TEST(InjectorParseTest, RejectsMalformedSpecs) {
   EXPECT_THROW(Injector::parse("cache.read=throw@:3"), std::invalid_argument);
   EXPECT_THROW(Injector::parse("cache.read=throw@e1:x2"),
                std::invalid_argument);
+  // Counts past 2^64-1 must not wrap: 2^64 used to read as 0 and 2^64+1
+  // as 1, which fired on the first hit.
+  EXPECT_THROW(Injector::parse("cache.read=throw@18446744073709551616"),
+               std::invalid_argument);
+  EXPECT_THROW(Injector::parse("cache.read=throw@1x18446744073709551616"),
+               std::invalid_argument);
+  EXPECT_THROW(Injector::parse("cache.read=throw@18446744073709551617"),
+               std::invalid_argument);
+  EXPECT_THROW(Injector::parse("cache.read=throw@1x18446744073709551617"),
+               std::invalid_argument);
   EXPECT_TRUE(Injector::parse("").empty());
   EXPECT_TRUE(Injector::parse(" ; ; ").empty());
 }
@@ -77,6 +87,11 @@ TEST(InjectorParseTest, ErrorsNameTheClauseAndItsOffset) {
       << count;
   EXPECT_NE(count.find("at offset 23"), std::string::npos) << count;
   EXPECT_NE(count.find("'zz'"), std::string::npos) << count;
+
+  const std::string huge = message_of("cache.read=throw@18446744073709551616");
+  EXPECT_NE(huge.find("trigger count '18446744073709551616' exceeds 2^64-1"),
+            std::string::npos)
+      << huge;
 }
 
 TEST(InjectorTest, DisarmedHitIsANoOp) {

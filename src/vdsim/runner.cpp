@@ -1,5 +1,6 @@
 #include "vdsim/runner.h"
 
+#include <cmath>
 #include <unordered_set>
 
 #include "stats/hypothesis.h"

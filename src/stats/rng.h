@@ -6,24 +6,64 @@
 // statistically independent child streams, which lets parallel or
 // order-independent experiment code stay deterministic.
 //
-// Every variate is computed from std::mt19937_64's raw 64-bit output, whose
-// sequence the C++ standard specifies, by the formulas documented below. No
-// standard-library distribution is involved, so a seed gives the same
-// numbers with any C++ standard library; normal and lognormal draws also
-// depend on libm's log, sqrt and exp. tests/support/rng_golden.py
-// recomputes the numbers independently for RngGoldenTest.
+// The engine is Mt64, this file's own mt19937_64: it produces the sequence
+// that the C++ standard specifies for std::mt19937_64 ([rand.predef]), for
+// every seed. Every variate is computed from its raw 64-bit output by the
+// formulas documented below. No standard-library engine or distribution is
+// involved, so a seed gives the same numbers with any C++ standard library;
+// normal and lognormal draws also depend on libm's log, sqrt and exp.
+// tests/support/rng_golden.py recomputes the numbers independently for
+// RngGoldenTest.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <random>
 #include <span>
 #include <stdexcept>
 #include <vector>
 
 namespace vdbench::stats {
 
-/// Deterministic pseudo-random generator over std::mt19937_64 with a
-/// convenience API used across the library.
+/// The 64-bit Mersenne Twister of [rand.predef]: the seeding, state
+/// recurrence and tempering of std::mt19937_64, hence its output sequence.
+/// The twist selects the matrix constant without a branch, and
+/// count_below() consumes a run of outputs a state block at a time.
+class Mt64 {
+ public:
+  /// Seed as [rand.eng.mers] does: x0 = seed and
+  /// xi = 6364136223846793005 * (x(i-1) ^ (x(i-1) >> 62)) + i.
+  explicit Mt64(std::uint64_t seed) noexcept;
+
+  /// The next output.
+  std::uint64_t operator()() noexcept {
+    if (index_ == kStateSize) twist();
+    return temper(state_[index_++]);
+  }
+
+  /// How many of the next n outputs are below `limit`. Leaves the engine
+  /// where n calls of operator() would.
+  std::uint64_t count_below(std::uint64_t n, std::uint64_t limit) noexcept;
+
+ private:
+  static constexpr std::size_t kStateSize = 312;
+
+  static std::uint64_t temper(std::uint64_t y) noexcept {
+    y ^= (y >> 29) & 0x5555555555555555ULL;
+    y ^= (y << 17) & 0x71D67FFFEDA60000ULL;
+    y ^= (y << 37) & 0xFFF7EEE000000000ULL;
+    return y ^ (y >> 43);
+  }
+
+  /// Replace the state by its next block of kStateSize words.
+  void twist() noexcept;
+
+  std::array<std::uint64_t, kStateSize> state_{};
+  std::size_t index_ = kStateSize;
+};
+
+/// Deterministic pseudo-random generator over Mt64 with a convenience API
+/// used across the library.
 class Rng {
  public:
   /// Construct from a 64-bit seed. Identical seeds yield identical streams.
@@ -72,7 +112,10 @@ class Rng {
   double lognormal(double mu, double sigma);
 
   /// Binomial draw: number of successes in n trials of probability p, as a
-  /// sum of n Bernoulli trials.
+  /// sum of n Bernoulli trials uniform() < p (p clamped to [0,1]). It
+  /// consumes n engine outputs, none when n = 0 or the clamped p is 0 or 1,
+  /// and counts them in blocks: uniform() < p exactly when the output is
+  /// below ceil(p * 2^53) * 2^11. A NaN p consumes n outputs and counts 0.
   std::uint64_t binomial(std::uint64_t n, double p);
 
   /// Index into a non-empty discrete distribution given by non-negative
@@ -87,7 +130,7 @@ class Rng {
                                                       std::size_t k);
 
  private:
-  std::mt19937_64 engine_;
+  Mt64 engine_;
   std::uint64_t seed_;
   std::uint64_t split_count_ = 0;
 };

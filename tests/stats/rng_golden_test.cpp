@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <random>
 #include <vector>
 
 #include "rng_golden_vectors.h"
@@ -26,9 +25,10 @@ void expect_table(const golden::Table<T>& table, Draw draw) {
 
 TEST(RngGoldenTest, EngineMeetsTheStandardsCheckValue) {
   // [rand.predef]: the 10000th output of a default-constructed
-  // mt19937_64. Every golden vector below rests on this sequence.
-  std::mt19937_64 engine;
-  engine.discard(9999);
+  // mt19937_64, whose seed is 5489. Every golden vector below rests on
+  // this sequence.
+  Mt64 engine(5489);
+  for (int i = 0; i < 9999; ++i) (void)engine();
   EXPECT_EQ(engine(), 9981545732273789042ULL);
 }
 
@@ -76,6 +76,12 @@ TEST(RngGoldenTest, Lognormal) {
 TEST(RngGoldenTest, Binomial) {
   expect_table(golden::kBinomial,
                [](Rng& rng) { return rng.binomial(50, 0.4); });
+}
+
+TEST(RngGoldenTest, BinomialOverSeveralStateBlocks) {
+  // 1000 outputs per call, so calls span and end inside 312-output blocks.
+  expect_table(golden::kBinomial1000,
+               [](Rng& rng) { return rng.binomial(1000, 0.03); });
 }
 
 TEST(RngGoldenTest, Categorical) {

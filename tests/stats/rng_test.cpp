@@ -2,11 +2,40 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cstdint>
+#include <limits>
+#include <random>
 #include <set>
 
 namespace vdbench::stats {
 namespace {
+
+// The Bernoulli sum Rng::binomial is defined by, one uniform() per trial:
+// the reference its block count must match draw for draw.
+std::uint64_t bernoulli_sum(Rng& rng, std::uint64_t n, double p) {
+  if (n == 0) return 0;
+  const double clamped = std::clamp(p, 0.0, 1.0);
+  if (clamped == 0.0) return 0;
+  if (clamped == 1.0) return n;
+  std::uint64_t hits = 0;
+  for (std::uint64_t i = 0; i < n; ++i)
+    if (rng.uniform() < clamped) ++hits;
+  return hits;
+}
+
+TEST(RngEngineTest, MatchesStdMt19937_64) {
+  // The standard library's engine is the oracle here, and only here.
+  for (const std::uint64_t seed :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{5489},
+        std::uint64_t{20150622}, std::numeric_limits<std::uint64_t>::max()}) {
+    Mt64 owned(seed);
+    std::mt19937_64 standard(seed);
+    for (int i = 0; i < 1'000'000; ++i)
+      ASSERT_EQ(owned(), standard()) << "seed " << seed << ", output " << i;
+  }
+}
 
 TEST(RngTest, SameSeedSameStream) {
   Rng a(42), b(42);
@@ -170,6 +199,43 @@ TEST(RngTest, BinomialMeanRoughlyNp) {
   const int n = 5000;
   for (int i = 0; i < n; ++i) sum += static_cast<double>(rng.binomial(100, 0.25));
   EXPECT_NEAR(sum / n, 25.0, 0.5);
+}
+
+TEST(RngTest, BinomialMatchesTheBernoulliSumDrawForDraw) {
+  const std::array<std::uint64_t, 8> sizes = {0,   1,   50,  311,
+                                              312, 313, 625, 20000};
+  const std::array<double, 11> probabilities = {
+      std::numeric_limits<double>::quiet_NaN(),
+      -0.5,
+      0.0,
+      std::numeric_limits<double>::denorm_min(),
+      0x1.0p-53,
+      0.005,
+      0.3,
+      0.5,
+      1.0 - 0x1.0p-53,
+      1.0,
+      2.0};
+  // Outputs drawn before the call, so calls start at, just past, inside
+  // and at the end of a 312-output state block.
+  const std::array<int, 4> advances = {0, 1, 155, 311};
+  std::uint64_t seed = 0;
+  for (const std::uint64_t n : sizes)
+    for (const double p : probabilities)
+      for (const int advance : advances) {
+        ++seed;
+        Rng blocked(seed), reference(seed);
+        for (int i = 0; i < advance; ++i) {
+          (void)blocked.uniform();
+          (void)reference.uniform();
+        }
+        EXPECT_EQ(blocked.binomial(n, p), bernoulli_sum(reference, n, p))
+            << "n " << n << ", p " << p << ", advance " << advance;
+        for (int i = 0; i < 16; ++i)
+          ASSERT_EQ(blocked.uniform(), reference.uniform())
+              << "n " << n << ", p " << p << ", advance " << advance
+              << ", draw " << i;
+      }
 }
 
 TEST(RngTest, CategoricalRespectsWeights) {

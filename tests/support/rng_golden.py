@@ -127,6 +127,7 @@ TABLES = (
     ("kNormal", "double", lambda r: r.normal(10.0, 2.0)),
     ("kLognormal", "double", lambda r: r.lognormal(0.5, 0.75)),
     ("kBinomial", "std::uint64_t", lambda r: r.binomial(50, 0.4)),
+    ("kBinomial1000", "std::uint64_t", lambda r: r.binomial(1000, 0.03)),
     ("kCategorical", "std::size_t", lambda r: r.categorical([0.0, 3.0, 1.0, 0.5])),
     ("kPickIndex", "std::size_t", lambda r: r.pick_index(10)),
     ("kSampleWithoutReplacement", "std::size_t", None),

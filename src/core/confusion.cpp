@@ -47,11 +47,11 @@ bool is_defined(double value) noexcept { return std::isfinite(value); }
 
 ConfusionMatrix expected_confusion(double sensitivity, double fallout,
                                    double prevalence, std::uint64_t total) {
-  if (sensitivity < 0.0 || sensitivity > 1.0)
+  if (!(sensitivity >= 0.0 && sensitivity <= 1.0))
     throw std::invalid_argument("expected_confusion: sensitivity in [0,1]");
-  if (fallout < 0.0 || fallout > 1.0)
+  if (!(fallout >= 0.0 && fallout <= 1.0))
     throw std::invalid_argument("expected_confusion: fallout in [0,1]");
-  if (prevalence < 0.0 || prevalence > 1.0)
+  if (!(prevalence >= 0.0 && prevalence <= 1.0))
     throw std::invalid_argument("expected_confusion: prevalence in [0,1]");
   if (total == 0)
     throw std::invalid_argument("expected_confusion: total must be > 0");

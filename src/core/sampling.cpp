@@ -9,9 +9,9 @@
 namespace vdbench::core {
 
 void DetectorProfile::validate() const {
-  if (sensitivity < 0.0 || sensitivity > 1.0)
+  if (!(sensitivity >= 0.0 && sensitivity <= 1.0))
     throw std::invalid_argument("DetectorProfile: sensitivity in [0,1]");
-  if (fallout < 0.0 || fallout > 1.0)
+  if (!(fallout >= 0.0 && fallout <= 1.0))
     throw std::invalid_argument("DetectorProfile: fallout in [0,1]");
 }
 
@@ -19,7 +19,7 @@ ConfusionMatrix sample_confusion(const DetectorProfile& detector,
                                  double prevalence, std::uint64_t total,
                                  stats::Rng& rng) {
   detector.validate();
-  if (prevalence < 0.0 || prevalence > 1.0)
+  if (!(prevalence >= 0.0 && prevalence <= 1.0))
     throw std::invalid_argument("sample_confusion: prevalence in [0,1]");
   if (total == 0)
     throw std::invalid_argument("sample_confusion: total must be > 0");
@@ -37,9 +37,9 @@ ConfusionMatrix sample_confusion(const DetectorProfile& detector,
 double expected_cost(const DetectorProfile& detector, double prevalence,
                      double cost_fn, double cost_fp) {
   detector.validate();
-  if (prevalence < 0.0 || prevalence > 1.0)
+  if (!(prevalence >= 0.0 && prevalence <= 1.0))
     throw std::invalid_argument("expected_cost: prevalence in [0,1]");
-  if (cost_fn < 0.0 || cost_fp < 0.0)
+  if (!(cost_fn >= 0.0) || !(cost_fp >= 0.0))
     throw std::invalid_argument("expected_cost: costs must be >= 0");
   return prevalence * (1.0 - detector.sensitivity) * cost_fn +
          (1.0 - prevalence) * detector.fallout * cost_fp;

@@ -114,6 +114,10 @@ TEST(ExpectedConfusionTest, RejectsBadArguments) {
   EXPECT_THROW(expected_confusion(0.5, 1.1, 0.1, 100), std::invalid_argument);
   EXPECT_THROW(expected_confusion(0.5, 0.1, 2.0, 100), std::invalid_argument);
   EXPECT_THROW(expected_confusion(0.5, 0.1, 0.1, 0), std::invalid_argument);
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(expected_confusion(kNaN, 0.1, 0.1, 100), std::invalid_argument);
+  EXPECT_THROW(expected_confusion(0.5, kNaN, 0.1, 100), std::invalid_argument);
+  EXPECT_THROW(expected_confusion(0.5, 0.1, kNaN, 100), std::invalid_argument);
 }
 
 }  // namespace

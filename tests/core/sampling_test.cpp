@@ -3,16 +3,21 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "stats/hypothesis.h"
 
 namespace vdbench::core {
 namespace {
 
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
 TEST(DetectorProfileTest, ValidationRejectsOutOfRange) {
   EXPECT_NO_THROW((DetectorProfile{0.5, 0.1}.validate()));
   EXPECT_THROW((DetectorProfile{-0.1, 0.1}.validate()), std::invalid_argument);
   EXPECT_THROW((DetectorProfile{0.5, 1.2}.validate()), std::invalid_argument);
+  EXPECT_THROW((DetectorProfile{kNaN, 0.1}.validate()), std::invalid_argument);
+  EXPECT_THROW((DetectorProfile{0.5, kNaN}.validate()), std::invalid_argument);
 }
 
 TEST(SampleConfusionTest, CountsAddUp) {
@@ -29,6 +34,14 @@ TEST(SampleConfusionTest, DeterministicGivenSeed) {
   stats::Rng a(9), b(9);
   EXPECT_EQ(sample_confusion(d, 0.1, 500, a),
             sample_confusion(d, 0.1, 500, b));
+}
+
+TEST(SampleConfusionTest, RejectsNanPrevalence) {
+  // A NaN prevalence used to pass the range check; llround(NaN) then asked
+  // the binomial for about 2^63 positives.
+  stats::Rng rng(4);
+  EXPECT_THROW(sample_confusion(DetectorProfile{0.7, 0.1}, kNaN, 500, rng),
+               std::invalid_argument);
 }
 
 TEST(SampleConfusionTest, ExtremeProfiles) {
@@ -79,6 +92,10 @@ TEST(ExpectedCostTest, DominatingToolCostsLess) {
 
 TEST(ExpectedCostTest, RejectsNegativeCosts) {
   EXPECT_THROW(expected_cost(DetectorProfile{0.5, 0.1}, 0.1, -1.0, 1.0),
+               std::invalid_argument);
+  EXPECT_THROW(expected_cost(DetectorProfile{0.5, 0.1}, 0.1, 5.0, kNaN),
+               std::invalid_argument);
+  EXPECT_THROW(expected_cost(DetectorProfile{0.5, 0.1}, kNaN, 5.0, 1.0),
                std::invalid_argument);
 }
 

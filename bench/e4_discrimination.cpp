@@ -3,12 +3,19 @@
 // first, as a function of the quality gap between them. Run at moderate
 // (10%) and extreme (1%) prevalence to show how imbalance destroys the
 // discrimination of non-robust metrics.
+//
+// Each (gap, metric) cell seeds its own Rng chain from (seed, gap, metric,
+// prevalence), so a prevalence's cells run on the parallel engine, each
+// into its own slot, and the table is bit-identical for any
+// VDBENCH_THREADS value.
 #include <cmath>
+#include <vector>
 
 #include "core/sampling.h"
 #include "experiments.h"
 #include "report/chart.h"
 #include "report/table.h"
+#include "stats/parallel.h"
 #include "study_common.h"
 
 namespace vdbench::bench {
@@ -75,18 +82,25 @@ void run(cli::ExperimentContext& ctx) {
     for (std::size_t m = 0; m < metrics.size(); ++m)
       series[m].name = std::string(core::metric_info(metrics[m]).key);
 
-    for (const double gap : gaps) {
-      std::vector<std::string> row = {report::format_value(gap, 2)};
+    std::vector<double> cells(gaps.size() * metrics.size());
+    stats::parallel_for_indexed(cells.size(), [&](std::size_t i) {
+      const double gap = gaps[i / metrics.size()];
+      const core::MetricId id = metrics[i % metrics.size()];
+      stats::Rng rng =
+          stats::Rng(kStudySeed)
+              .split(static_cast<std::uint64_t>(gap * 1000))
+              .split(static_cast<std::uint64_t>(id))
+              .split(static_cast<std::uint64_t>(prevalence * 1000));
+      cells[i] =
+          discrimination_at(id, gap, prevalence, kItems, kTrials, rng);
+    });
+
+    for (std::size_t g = 0; g < gaps.size(); ++g) {
+      std::vector<std::string> row = {report::format_value(gaps[g], 2)};
       for (std::size_t m = 0; m < metrics.size(); ++m) {
-        stats::Rng rng = stats::Rng(kStudySeed)
-                             .split(static_cast<std::uint64_t>(gap * 1000))
-                             .split(static_cast<std::uint64_t>(metrics[m]))
-                             .split(static_cast<std::uint64_t>(
-                                 prevalence * 1000));
-        const double d = discrimination_at(metrics[m], gap, prevalence,
-                                           kItems, kTrials, rng);
+        const double d = cells[g * metrics.size() + m];
         row.push_back(report::format_value(d));
-        series[m].x.push_back(gap);
+        series[m].x.push_back(gaps[g]);
         series[m].y.push_back(d);
       }
       table.add_row(std::move(row));

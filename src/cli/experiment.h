@@ -80,10 +80,11 @@ struct ExperimentContext {
     artifacts.push_back({std::move(name), std::move(content)});
   }
 
-  /// True when the driver's watchdog has cancelled this experiment. The
-  /// parallel engine polls this between task claims automatically; bodies
-  /// with long serial sections may poll it themselves and throw
-  /// stats::Cancelled to honour the watchdog faster.
+  /// True when an installed cancellation token has fired: the attempt's
+  /// --timeout-sec deadline, or a daemon session's deadline, drain or
+  /// vanished client. The parallel engine polls this between task claims
+  /// automatically; bodies with long serial sections may poll it themselves
+  /// and throw stats::Cancelled to stop sooner.
   [[nodiscard]] bool cancellation_requested() const noexcept {
     return stats::cancellation_requested();
   }

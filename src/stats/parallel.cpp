@@ -25,10 +25,10 @@ namespace {
 // calls detect it and degrade to inline serial execution.
 thread_local bool tl_inside_task = false;
 
-// The token installed by the innermost ScopedCancellationToken; polled
-// between task claims. Atomic pointer + atomic flag, so workers never need
-// a lock to observe cancellation.
-std::atomic<CancellationToken*> g_cancel_token{nullptr};
+// The innermost ScopedCancellationToken; each scope links to the one it
+// nests in. Published with release and read with acquire, so a worker that
+// sees a scope also sees its token and its outer link.
+std::atomic<const ScopedCancellationToken*> g_innermost{nullptr};
 
 // Every task funnels through here so the fault hook and its key discipline
 // (decimal task index, making schedules thread-count independent) exist in
@@ -58,17 +58,21 @@ void run_task(const std::function<void(std::size_t)>& fn, std::size_t i) {
 }  // namespace
 
 ScopedCancellationToken::ScopedCancellationToken(
-    CancellationToken* token) noexcept
-    : previous_(g_cancel_token.exchange(token, std::memory_order_relaxed)) {}
+    const CancellationToken* token) noexcept
+    : token_(token), outer_(g_innermost.load(std::memory_order_relaxed)) {
+  g_innermost.store(this, std::memory_order_release);
+}
 
 ScopedCancellationToken::~ScopedCancellationToken() {
-  g_cancel_token.store(previous_, std::memory_order_relaxed);
+  g_innermost.store(outer_, std::memory_order_release);
 }
 
 bool cancellation_requested() noexcept {
-  const CancellationToken* token =
-      g_cancel_token.load(std::memory_order_relaxed);
-  return token != nullptr && token->cancelled();
+  for (const ScopedCancellationToken* scope =
+           g_innermost.load(std::memory_order_acquire);
+       scope != nullptr; scope = scope->outer_)
+    if (scope->token_->cancelled()) return true;
+  return false;
 }
 
 void stall_until_cancelled(std::string_view point) {
@@ -273,7 +277,7 @@ void ParallelExecutor::parallel_for_indexed(
     impl_->fn = nullptr;
   }
   // Cancellation outranks task errors: both mean the computation is void,
-  // but Cancelled tells the supervisor the watchdog (not the workload) spoke.
+  // but Cancelled tells the supervisor a token (not the workload) spoke.
   if (cancellation_requested()) throw Cancelled();
   if (impl_->first_error) std::rethrow_exception(impl_->first_error);
 }

@@ -26,6 +26,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <functional>
 #include <memory>
@@ -34,69 +35,80 @@
 
 namespace vdbench::stats {
 
-/// Cooperative cancellation flag shared between a supervisor (the driver's
-/// watchdog, a daemon's connection teardown) and the execution engine.
-/// Cancellation never interrupts a task mid-flight — workers observe the flag
-/// between task claims, stop claiming, and the fork-join call throws
-/// Cancelled. A cancelled computation's partial results are therefore
-/// scheduling-dependent and must be discarded wholesale; a fresh run after
-/// cancellation is bit-identical to a first-try run.
-///
-/// Idempotency contract: request_cancel() is a plain atomic store, so it is
-/// safe — by contract, not by luck — to call it any number of times, from any
-/// thread, concurrently with itself and with cancelled() polls. Double-cancel
-/// (watchdog and connection teardown racing each other) is a no-op beyond the
-/// first call. Cancel-before-start is equally well-defined: a token cancelled
-/// before any parallel loop begins makes the first parallel_for_indexed (or
-/// cancellation_requested() poll) observe the flag and throw Cancelled before
-/// claiming work. The token stays cancelled until reset(); reset() must not
-/// race with request_cancel() for the SAME computation (a supervisor resets
-/// only between attempts, when no worker holds the token).
+/// Cooperative cancellation flag with an optional steady-clock deadline,
+/// shared between a supervisor (a --timeout-sec attempt, a daemon's drain,
+/// session deadline and connection teardown) and the execution engine. A
+/// token fires once request_cancel() was called or its deadline has passed,
+/// and stays fired; a deadline needs no thread to watch it, because every
+/// poll reads the clock. Workers observe a fired token between task claims,
+/// stop claiming, and the fork-join call throws Cancelled. A cancelled
+/// computation's partial results depend on scheduling and must be discarded
+/// wholesale; a fresh run after cancellation is bit-identical to a first-try
+/// run. request_cancel() is a plain atomic store: any number of calls, from
+/// any thread, concurrently with polls, are safe, and a token cancelled
+/// before its first poll makes that poll throw before any work is claimed.
 class CancellationToken {
  public:
+  using Clock = std::chrono::steady_clock;
+
+  CancellationToken() noexcept = default;
+  /// A token that also fires by itself once `deadline` has passed.
+  explicit CancellationToken(Clock::time_point deadline) noexcept
+      : deadline_(deadline) {}
+
   void request_cancel() noexcept {
     cancelled_.store(true, std::memory_order_relaxed);
   }
+  /// True once request_cancel() was called or the deadline has passed.
   [[nodiscard]] bool cancelled() const noexcept {
-    return cancelled_.load(std::memory_order_relaxed);
+    return cancelled_.load(std::memory_order_relaxed) || expired();
   }
-  void reset() noexcept { cancelled_.store(false, std::memory_order_relaxed); }
+  /// True once the deadline has passed; never for a token without one.
+  [[nodiscard]] bool expired() const noexcept {
+    return deadline_ != Clock::time_point::max() && Clock::now() >= deadline_;
+  }
 
  private:
   std::atomic<bool> cancelled_{false};
+  Clock::time_point deadline_ = Clock::time_point::max();
 };
 
-/// Thrown by parallel_for_indexed (and cooperative stall points) when the
+/// Thrown by parallel_for_indexed (and cooperative stall points) when an
 /// installed CancellationToken fires.
 struct Cancelled : std::runtime_error {
   Cancelled() : std::runtime_error("cancelled by watchdog") {}
 };
 
-/// Install `token` as the process-wide token parallel loops poll between
-/// task claims (nullptr = none) for the lifetime of the guard; restores the
-/// previous token on destruction. Only one experiment runs at a time, so a
-/// process-wide slot is sufficient and keeps the hot path to one relaxed
+/// Install `token` for the lifetime of the guard, nested inside the scopes
+/// already installed: loops poll the whole chain, so an outer token (a
+/// daemon's drain or session) still reaches loops under an inner one (an
+/// attempt's --timeout-sec). Scopes nest last-in, first-out on one thread
+/// and each token outlives its scope. The chain is process-wide (the
+/// executor's workers and the stream producer walk it), so only one driver
+/// run at a time may install tokens. With none installed a poll is one
 /// atomic load.
 class ScopedCancellationToken {
  public:
-  explicit ScopedCancellationToken(CancellationToken* token) noexcept;
+  explicit ScopedCancellationToken(const CancellationToken* token) noexcept;
   ~ScopedCancellationToken();
   ScopedCancellationToken(const ScopedCancellationToken&) = delete;
   ScopedCancellationToken& operator=(const ScopedCancellationToken&) = delete;
 
  private:
-  CancellationToken* previous_;
+  friend bool cancellation_requested() noexcept;
+  const CancellationToken* token_;
+  const ScopedCancellationToken* outer_;
 };
 
-/// True when a token is installed and has been cancelled. Long serial
-/// sections (experiment bodies between parallel loops) may poll this and
-/// throw Cancelled themselves to honour the watchdog faster.
+/// True when any installed token has fired. Long serial sections
+/// (experiment bodies between parallel loops) may poll this and throw
+/// Cancelled themselves to stop sooner.
 [[nodiscard]] bool cancellation_requested() noexcept;
 
 /// The stall behind an armed injector's `timeout` action at fault point
 /// `point` (executor.task, experiment.body, stream.produce, ...): polls
-/// cancellation_requested() every millisecond and throws Cancelled once the
-/// watchdog fires. The stall is capped at 5 s so an unsupervised one cannot
+/// cancellation_requested() every millisecond and throws Cancelled once a
+/// token fires. The stall is capped at 5 s so an unsupervised one cannot
 /// wedge a run; past the cap it throws fault::InjectedFault.
 [[noreturn]] void stall_until_cancelled(std::string_view point);
 

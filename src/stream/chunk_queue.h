@@ -5,9 +5,9 @@
 // consumer BLOCKS in push() on a condition variable (no spinning; the
 // backpressure_waits counter records one increment per blocking episode,
 // which the test suite uses to assert the no-spin contract). Waits poll the
-// process-wide cooperative CancellationToken (stats/parallel.h) at a coarse
-// interval, so a blocked producer or consumer honours the driver's watchdog
-// by throwing stats::Cancelled — the same discipline the parallel engine's
+// process-wide cooperative cancellation chain (stats/parallel.h) at a coarse
+// interval, so a blocked producer or consumer honours a fired token or a
+// passed deadline by throwing stats::Cancelled — the same discipline the parallel engine's
 // task loops follow.
 //
 // Shutdown protocol:

@@ -4,14 +4,11 @@
 #include <array>
 #include <bit>
 #include <chrono>
-#include <condition_variable>
 #include <exception>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <mutex>
 #include <sstream>
-#include <thread>
 
 #include "cache/hash.h"
 #include "core/study.h"
@@ -54,9 +51,7 @@ options:
   --refresh            recompute selected experiments, overwriting entries
   --retries N          extra compute attempts after a failure (default: 0);
                        retried results are byte-identical to first-try runs
-  --retry-backoff-ms N base delay before retry k, doubling, capped at 5s
-                       (default: 100; 0 disables sleeping)
-  --timeout-sec X      per-experiment wall-clock watchdog; on expiry the
+  --timeout-sec X      per-experiment wall-clock deadline; past it the
                        experiment is cancelled cooperatively and classified
                        as "timeout" (default: disabled)
   --fail-fast          abort the study on the first experiment that fails
@@ -101,8 +96,6 @@ exit codes: 0 ok | 3 partial (some experiments failed, study usable) |
 environment: VDBENCH_FAULTS arms the deterministic fault injector, e.g.
 "cache.write=io_error@3;experiment.body=throw@e13:1" (see README).
 )";
-
-constexpr std::uint64_t kBackoffCapMs = 5000;
 
 std::string_view source_name(ExperimentOutcome::Source source) {
   switch (source) {
@@ -383,11 +376,12 @@ AttemptOutcome run_body(const Experiment& experiment,
   return result;
 }
 
-// Run one attempt under the wall-clock watchdog (when configured): the body
-// runs on its own thread while this thread waits; on expiry the cooperative
-// cancellation token is raised and the executor's task loops drain out via
-// stats::Cancelled. The attempt is always joined — results of a cancelled
-// body are discarded, so partial state can never leak into a retry.
+// Run one attempt, under a token that fires at its --timeout-sec deadline
+// when one is set. The token nests under whatever the caller installed (a
+// daemon session's deadline, drain and vanished client), so those still
+// reach the attempt's loops. A body that returns after its deadline is
+// discarded as a timeout, whether or not it polled in time, so the outcome
+// does not depend on where the body happened to be when the deadline passed.
 AttemptOutcome execute_attempt(const Experiment& experiment,
                                double timeout_sec, stats::StageTimer& timer,
                                core::Study& study,
@@ -396,52 +390,23 @@ AttemptOutcome execute_attempt(const Experiment& experiment,
   if (timeout_sec <= 0.0)
     return run_body(experiment, timer, study, stream, corpus);
 
-  stats::CancellationToken token;
-  stats::ScopedCancellationToken install(&token);
-  std::mutex mutex;
-  std::condition_variable done;
-  bool finished = false;
-  AttemptOutcome result;
-  std::thread runner([&] {
-    AttemptOutcome attempt =
-        run_body(experiment, timer, study, stream, corpus);
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      result = std::move(attempt);
-      finished = true;
-    }
-    done.notify_all();
-  });
-  bool timed_out = false;
-  {
-    std::unique_lock<std::mutex> lock(mutex);
-    if (!done.wait_for(lock, std::chrono::duration<double>(timeout_sec),
-                       [&] { return finished; })) {
-      timed_out = true;
-      token.request_cancel();
-      done.wait(lock, [&] { return finished; });
-    }
-  }
-  runner.join();
-  if (timed_out) {
-    // Even if the body raced past the deadline to a result, the watchdog
-    // spoke first: classify as timeout and discard, deterministically.
-    result.ok = false;
+  // A budget past the clock's range saturates: it never fires.
+  using Clock = stats::CancellationToken::Clock;
+  const Clock::time_point now = Clock::now();
+  const std::chrono::duration<double> budget(timeout_sec);
+  const stats::CancellationToken token(
+      budget < Clock::time_point::max() - now
+          ? now + std::chrono::duration_cast<Clock::duration>(budget)
+          : Clock::time_point::max());
+  const stats::ScopedCancellationToken install(&token);
+  AttemptOutcome result = run_body(experiment, timer, study, stream, corpus);
+  if (token.expired()) {
+    result = AttemptOutcome{};
     result.error_class = "timeout";
     result.error = "exceeded --timeout-sec " +
                    report::format_value(timeout_sec, 3) + "s";
-    result.text.clear();
-    result.artifacts.clear();
   }
   return result;
-}
-
-std::uint64_t backoff_delay_ms(std::uint64_t base_ms, std::size_t retry) {
-  if (base_ms == 0) return 0;
-  std::uint64_t delay = base_ms;
-  for (std::size_t i = 1; i < retry && delay < kBackoffCapMs; ++i)
-    delay *= 2;
-  return delay < kBackoffCapMs ? delay : kBackoffCapMs;
 }
 
 }  // namespace
@@ -631,12 +596,6 @@ std::optional<DriverOptions> parse_args(int argc, const char* const* argv,
       const std::optional<std::uint64_t> n = stats::parse_uint64(value);
       if (!n) return reject("--retries", "a non-negative integer", value);
       options.retries = static_cast<std::size_t>(*n);
-    } else if (flag_matches(arg, "--retry-backoff-ms")) {
-      if (!take_value(i, "--retry-backoff-ms", value)) return std::nullopt;
-      const std::optional<std::uint64_t> n = stats::parse_uint64(value);
-      if (!n)
-        return reject("--retry-backoff-ms", "a non-negative integer", value);
-      options.retry_backoff_ms = *n;
     } else if (flag_matches(arg, "--timeout-sec")) {
       if (!take_value(i, "--timeout-sec", value)) return std::nullopt;
       const std::optional<double> x = stats::parse_finite(value);
@@ -897,7 +856,7 @@ RunOutcome run_driver(const ExperimentRegistry& registry,
     } else {
       // Compute under the supervisor: up to 1 + retries attempts, each a
       // fresh context (same seed ⇒ byte-identical result), each optionally
-      // watchdogged.
+      // under its own --timeout-sec deadline.
       AttemptOutcome attempt;
       for (std::size_t attempt_no = 0; attempt_no <= options.retries;
            ++attempt_no) {
@@ -905,14 +864,9 @@ RunOutcome run_driver(const ExperimentRegistry& registry,
           // A cancelled run (a daemon session's deadline, a drain, a
           // vanished client) stops retrying: every further attempt would
           // fail at once. An attempt's own --timeout-sec token is
-          // uninstalled by now, so watchdog timeouts still retry.
+          // uninstalled by now, so its timeouts still retry.
           if (stats::cancellation_requested()) break;
           obs::count(obs::Counter::kRetries);
-          const std::uint64_t delay =
-              backoff_delay_ms(options.retry_backoff_ms, attempt_no);
-          if (delay > 0)
-            std::this_thread::sleep_for(std::chrono::milliseconds(delay));
-          if (stats::cancellation_requested()) break;
         }
         stats::StageTimer attempt_timer;
         obs::TimedSpan attempt_span(obs::names::kDriverAttempt,

@@ -4,14 +4,14 @@
 // through the content-addressed result cache: misses compute on the
 // deterministic parallel engine and are persisted; hits replay the stored
 // payload (report text + artifacts) from disk. A resilience supervisor
-// wraps every computation: failed experiments retry with capped exponential
-// backoff (a retried attempt is byte-identical to a first-try run — every
-// stage derives its RNG state from the study seed, and attempts share only
-// completed stages of the run's core::Study), a wall-clock
-// watchdog cancels overrunning experiments through the executor's
-// cooperative cancellation token, and failures degrade gracefully — the
-// study continues, the failure is recorded, and the exit code reports the
-// run's usability. The run manifest is rewritten atomically after every
+// wraps every computation: failed experiments retry at once (a retried
+// attempt is byte-identical to a first-try run — every stage derives its
+// RNG state from the study seed, and attempts share only completed stages
+// of the run's core::Study, so waiting would buy nothing), an attempt runs
+// under a cancellation token carrying its wall-clock deadline, which stops
+// an overrunning experiment through the executor's cooperative polls, and
+// failures degrade gracefully — the study continues, the failure is
+// recorded, and the exit code reports the run's usability. The run manifest is rewritten atomically after every
 // experiment, so a crash at any instant leaves a parseable record that
 // --resume can continue from.
 //
@@ -68,18 +68,16 @@ struct DriverOptions {
   /// a cold cache instead of one masking the other.
   double min_hit_rate = -1.0;
   /// Extra compute attempts per experiment after a failure (exception,
-  /// injected fault, or watchdog timeout). Each retry re-runs the
-  /// experiment with a fresh context — same seed, sharing only the run's
-  /// completed study stages — so a retried result is byte-identical to a
-  /// first-try one.
+  /// injected fault, or timeout), each started at once. Each retry re-runs
+  /// the experiment with a fresh context — same seed, sharing only the
+  /// run's completed study stages — so a retried result is byte-identical
+  /// to a first-try one. A run whose installed token has fired stops
+  /// retrying.
   std::size_t retries = 0;
-  /// Base backoff before retry k (doubling, capped at 5s): delay =
-  /// min(5000, retry_backoff_ms << (k-1)). 0 disables sleeping (tests).
-  std::uint64_t retry_backoff_ms = 100;
-  /// Per-experiment wall-clock watchdog in seconds; <= 0 disables. On
-  /// expiry the experiment is cancelled via the executor's cooperative
-  /// cancellation token and classified as "timeout" (then retried, if
-  /// retries remain).
+  /// Per-experiment wall-clock budget in seconds; <= 0 disables. Each
+  /// attempt runs under a cancellation token with this deadline, nested
+  /// under any token the caller installed; an attempt that passes it is
+  /// classified as "timeout" (then retried, if retries remain).
   double timeout_sec = 0.0;
   /// Abort the study on the first experiment that fails after retries
   /// (exit 1), restoring the pre-supervisor behaviour.

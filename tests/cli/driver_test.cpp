@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -345,17 +346,14 @@ TEST_F(DriverTest, ThreadCountDoesNotChangeKeysOrPayloads) {
 // --- resilience supervisor ------------------------------------------------
 
 TEST(ParseArgsTest, ParsesResilienceFlags) {
-  const char* argv[] = {"vdbench",           "--retries=2",
-                        "--retry-backoff-ms", "50",
-                        "--timeout-sec=1.5",  "--fail-fast",
-                        "--resume",           "prev.json"};
+  const char* argv[] = {"vdbench",     "--retries=2", "--timeout-sec=1.5",
+                        "--fail-fast", "--resume",    "prev.json"};
   std::ostringstream err;
   bool help = false;
   const auto options =
       parse_args(static_cast<int>(std::size(argv)), argv, err, &help);
   ASSERT_TRUE(options.has_value()) << err.str();
   EXPECT_EQ(options->retries, 2u);
-  EXPECT_EQ(options->retry_backoff_ms, 50u);
   EXPECT_DOUBLE_EQ(options->timeout_sec, 1.5);
   EXPECT_TRUE(options->fail_fast);
   EXPECT_EQ(options->resume_path, "prev.json");
@@ -368,12 +366,9 @@ TEST(ParseArgsTest, RejectsBadResilienceValues) {
   EXPECT_FALSE(parse_args(2, bad_retries, err, &help).has_value());
   const char* bad_timeout[] = {"vdbench", "--timeout-sec=0"};
   EXPECT_FALSE(parse_args(2, bad_timeout, err, &help).has_value());
-  const char* bad_backoff[] = {"vdbench", "--retry-backoff-ms=ten"};
-  EXPECT_FALSE(parse_args(2, bad_backoff, err, &help).has_value());
   // A non-finite watchdog would fail every attempt at once as "timeout".
   for (const char* bad : {"--timeout-sec=inf", "--timeout-sec=nan",
-                          "--timeout-sec=1e3", "--retries=2x",
-                          "--retry-backoff-ms=-5"}) {
+                          "--timeout-sec=1e3", "--retries=2x"}) {
     const char* argv[] = {"vdbench", bad};
     EXPECT_FALSE(parse_args(2, argv, err, &help).has_value()) << bad;
   }
@@ -399,7 +394,6 @@ TEST_F(DriverTest, RetryRecoversAndResultIsByteIdenticalToCleanRun) {
   DriverOptions options = base_options();
   options.quiet = true;
   options.retries = 2;
-  options.retry_backoff_ms = 0;
 
   options.json_out = (dir_ / "clean.json").string();
   options.cache_dir = (dir_ / "cache_clean").string();
@@ -431,7 +425,6 @@ TEST_F(DriverTest, CancelledRunStopsRetrying) {
   DriverOptions options = base_options();
   options.quiet = true;
   options.retries = 5;
-  options.retry_backoff_ms = 0;
   stats::CancellationToken token;
   token.request_cancel();
   const stats::ScopedCancellationToken install(&token);
@@ -443,11 +436,50 @@ TEST_F(DriverTest, CancelledRunStopsRetrying) {
   EXPECT_EQ(run.exit_code, kExitUnusable);
 }
 
+TEST_F(DriverTest, OuterCancelReachesAnAttemptUnderItsOwnTimeout) {
+  // A daemon session's token sits outside every --timeout-sec attempt's
+  // own token. Cancelling it must reach the attempt's polls at once, not
+  // after the attempt's 30 s budget, and then stop the retries.
+  std::atomic<bool> entered{false};
+  ExperimentRegistry registry;
+  registry.add({"wait", "polls until cancelled", "wait{}", true,
+                [&entered](ExperimentContext& ctx) {
+                  entered.store(true);
+                  const auto cap = std::chrono::steady_clock::now() +
+                                   std::chrono::seconds(10);
+                  while (std::chrono::steady_clock::now() < cap) {
+                    if (ctx.cancellation_requested()) throw stats::Cancelled();
+                    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+                  }
+                  ctx.out << "cap reached\n";
+                }});
+  DriverOptions options = base_options();
+  options.quiet = true;
+  options.timeout_sec = 30.0;
+  options.retries = 2;
+  stats::CancellationToken outer;
+  const stats::ScopedCancellationToken install(&outer);
+  std::thread canceller([&] {
+    while (!entered.load())
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    outer.request_cancel();
+  });
+  const auto start = std::chrono::steady_clock::now();
+  std::ostringstream out;
+  const RunOutcome run = run_driver(registry, options, out);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  canceller.join();
+  EXPECT_LT(elapsed, std::chrono::seconds(3));
+  ASSERT_EQ(run.experiments.size(), 1u);
+  EXPECT_EQ(run.experiments[0].error_class, "timeout") << out.str();
+  EXPECT_EQ(run.experiments[0].attempts.size(), 1u) << out.str();
+}
+
 TEST_F(DriverTest, ExhaustedRetriesFailTheExperiment) {
   DriverOptions options = base_options();
   options.quiet = true;
   options.retries = 1;
-  options.retry_backoff_ms = 0;
   std::ostringstream out;
   const RunOutcome run = run_driver(
       flaky_registry(std::make_shared<int>(5)), options, out);
@@ -636,7 +668,7 @@ TEST_F(DriverTest, WatchdogCancelsARunawayExperiment) {
   registry.add({"slow", "cooperatively hangs", "slow{}", true,
                 [](ExperimentContext& ctx) {
                   // Parallel tasks poll the cancellation token between
-                  // claims; the watchdog drains the loop via Cancelled.
+                  // claims; the deadline drains the loop via Cancelled.
                   stats::parallel_for_indexed(1u << 20, [&](std::size_t) {
                     std::this_thread::sleep_for(
                         std::chrono::microseconds(50));
@@ -653,6 +685,21 @@ TEST_F(DriverTest, WatchdogCancelsARunawayExperiment) {
   EXPECT_EQ(run.experiments[0].error_class, "timeout");
   EXPECT_NE(run.experiments[0].error.find("exceeded --timeout-sec"),
             std::string::npos);
+}
+
+TEST_F(DriverTest, ATimeoutPastTheClockRangeNeverFires) {
+  // --timeout-sec takes any finite digits, and a daemon request passes its
+  // timeout_sec through unchanged. A budget beyond the steady clock's range
+  // must saturate to "never", not wrap into a deadline already passed.
+  DriverOptions options = base_options();
+  options.quiet = true;
+  options.experiments = "t1";
+  options.timeout_sec = 1e20;
+  std::ostringstream out;
+  const RunOutcome run = run_driver(toy_registry(), options, out);
+  EXPECT_EQ(run.exit_code, kExitOk) << out.str();
+  ASSERT_EQ(run.experiments.size(), 1u);
+  EXPECT_EQ(run.experiments[0].attempts.size(), 1u);
 }
 
 // Begin events named `name` in a --trace-out document.

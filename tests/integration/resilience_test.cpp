@@ -49,7 +49,6 @@ class ResilienceTest : public ::testing::Test {
     options.quiet = true;
     options.study_seed = 42;
     options.retries = 2;
-    options.retry_backoff_ms = 0;
     options.clock = [this] { return ++tick_; };
     return options;
   }

@@ -3,7 +3,7 @@
 // and recover to a JSON export byte-identical to the clean run; a recorded
 // report log must replay byte-identically at any thread count; a corrupt
 // replay log must fail the experiment loudly, never yield a short stream.
-// Lives in the parallel test binary so the producer thread + watchdog
+// Lives in the parallel test binary so the producer thread + cancellation
 // machinery runs under the tsan ctest label.
 #include <gtest/gtest.h>
 
@@ -15,6 +15,7 @@
 #include "cli/driver.h"
 #include "experiments.h"
 #include "fault/injector.h"
+#include "stream/pipeline.h"
 
 namespace vdbench::cli {
 namespace {
@@ -49,7 +50,6 @@ class StreamResilienceTest : public ::testing::Test {
     options.quiet = true;
     options.study_seed = 42;
     options.retries = 2;
-    options.retry_backoff_ms = 0;
     options.clock = [this] { return ++tick_; };
     return options;
   }
@@ -102,28 +102,50 @@ TEST_F(StreamResilienceTest, StreamFaultsRecoverByteIdenticallyUnderRetry) {
   }
 }
 
+// E18's stream cut to 10^5 sites, the size StreamPipelineTest uses, as a
+// streaming experiment of its own: its clean run fits the stall drill's
+// 0.5 s budget with room to spare, where full-size E18 (10^6 sites) takes
+// about that long on its own under ThreadSanitizer.
+ExperimentRegistry small_stream_registry() {
+  ExperimentRegistry registry;
+  registry.add({"s5", "E18's stream at 10^5 sites", "s5{sites=100000}", true,
+                [](ExperimentContext& ctx) {
+                  stream::StreamSpec spec = bench::e18_stream_spec();
+                  spec.total_sites = 100'000;
+                  const stream::StreamResult result =
+                      stream::stream_evaluate(spec);
+                  ctx.out << result.chunks << " chunks: "
+                          << result.cm.to_string() << "\n";
+                },
+                /*streaming=*/true});
+  return registry;
+}
+
 TEST_F(StreamResilienceTest, StallInProducerIsWatchdogCancelledAndRetried) {
   // A stream.produce timeout stalls the producer thread; the consumer
-  // blocks on the queue, the watchdog fires, and both sides unwind through
-  // the cooperative cancellation token. The retry then runs clean and the
-  // export matches the unfaulted run.
-  const DriverOptions clean = drill_options("clean", 4);
-  ASSERT_EQ(run_driver(registry_, clean, std::cout).exit_code, kExitOk);
+  // blocks on the queue, the attempt's deadline passes, and both sides
+  // unwind through the cooperative cancellation token. The retry then runs
+  // clean and the export matches the unfaulted run.
+  const ExperimentRegistry registry = small_stream_registry();
+  DriverOptions clean = drill_options("clean", 4);
+  clean.experiments = "s5";
+  ASSERT_EQ(run_driver(registry, clean, std::cout).exit_code, kExitOk);
 
   DriverOptions options = drill_options("stall", 4);
+  options.experiments = "s5";
   options.timeout_sec = 0.5;
   options.retries = 1;
   fault::Injector::global().arm("stream.produce=timeout@4:1");
   std::ostringstream out;
-  const RunOutcome run = run_driver(registry_, options, out);
+  const RunOutcome run = run_driver(registry, options, out);
   fault::Injector::global().disarm();
   ASSERT_EQ(run.exit_code, kExitOk) << out.str();
   ASSERT_EQ(run.experiments.size(), 1u);
-  const ExperimentOutcome& e18 = run.experiments[0];
-  ASSERT_EQ(e18.attempts.size(), 2u);
-  EXPECT_EQ(e18.attempts[0].result, "timeout");
-  EXPECT_GE(e18.attempts[0].seconds, 0.5);  // held until the watchdog
-  EXPECT_EQ(e18.attempts[1].result, "ok");
+  const ExperimentOutcome& s5 = run.experiments[0];
+  ASSERT_EQ(s5.attempts.size(), 2u);
+  EXPECT_EQ(s5.attempts[0].result, "timeout");
+  EXPECT_GE(s5.attempts[0].seconds, 0.5);  // held until the deadline
+  EXPECT_EQ(s5.attempts[1].result, "ok");
   EXPECT_EQ(slurp(options.json_out), slurp(clean.json_out));
 }
 

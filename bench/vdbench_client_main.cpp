@@ -27,7 +27,7 @@ void print_usage(std::ostream& out) {
          "  --no-cache             bypass the daemon's shared cache\n"
          "  --refresh              recompute and overwrite cache entries\n"
          "  --retries N            supervisor retries per experiment\n"
-         "  --timeout-sec X        per-experiment watchdog\n"
+         "  --timeout-sec X        per-experiment deadline\n"
          "  --quiet                suppress streamed report text\n"
          "  --json-out PATH        write the streamed JSON export here\n"
          "  --manifest-out PATH    request + write the session manifest\n"

@@ -40,7 +40,7 @@ struct StudyRequest {
   bool refresh = false;    ///< recompute and overwrite cache entries
   bool quiet = true;       ///< suppress report text in progress frames
   std::size_t retries = 0;
-  double timeout_sec = 0.0;  ///< per-experiment watchdog; 0 = session only
+  double timeout_sec = 0.0;  ///< per-experiment deadline; 0 = session only
   bool want_manifest = false;  ///< also stream the session run manifest
 };
 

@@ -37,10 +37,6 @@ Deadline after_seconds(double seconds) {
              std::chrono::duration<double>(seconds));
 }
 
-double seconds_until(Deadline deadline) {
-  return std::chrono::duration<double>(deadline - Clock::now()).count();
-}
-
 // Best-effort final status on a connection that never got a study: short
 // write deadline, failures swallowed (the peer may already be gone).
 void send_status_best_effort(Socket& socket, const StudyStatus& status) {
@@ -245,29 +241,19 @@ int Server::run(std::ostream& log) {
     reject(std::move(pending.socket), "draining", log);
   abandoned.clear();
 
+  // Give the in-flight study its grace, then fire the drain token. It is
+  // sticky, so a session that the worker popped but has not started yet
+  // still sees it; the request-read phase has its own short deadline
+  // (request_sec), and a cancelled driver run still writes its manifest
+  // atomically and returns, so the join below is bounded.
   {
-    // Give the in-flight study its grace, then cancel its token. The
-    // worker marks itself busy before handle_session installs the token,
-    // so a single cancel attempt at grace expiry could land in that
-    // window and miss — keep re-checking until the worker clears. The
-    // loop is bounded: the request-read phase has its own short deadline
-    // (request_sec), and a cancelled driver run still writes its
-    // manifest atomically and returns, so the join below is too.
     core::MutexLock lock(mutex_);
     const Deadline grace = after_seconds(options_.drain_sec);
     while (worker_busy_ && Clock::now() < grace)
-      done_cv_.wait_for(lock, std::chrono::milliseconds(20));
-    bool announced = false;
-    while (worker_busy_) {
-      if (active_token_ != nullptr) active_token_->request_cancel();
-      if (!announced) {
-        announced = true;
-        lock.unlock();
-        say(log, "vdbenchd: drain grace expired; cancelling in-flight study");
-        lock.lock();
-        continue;  // state may have changed while unlocked
-      }
-      done_cv_.wait_for(lock, std::chrono::milliseconds(20));
+      done_cv_.wait_until(lock, grace);
+    if (worker_busy_) {
+      drain_token_.request_cancel();
+      say(log, "vdbenchd: drain grace expired; cancelling in-flight study");
     }
   }
   worker.join();
@@ -293,8 +279,7 @@ void Server::worker_loop(std::ostream& log) {
     Pending session;
     {
       core::MutexLock lock(mutex_);
-      while (queue_.empty() && !draining_)
-        queue_cv_.wait_for(lock, std::chrono::milliseconds(50));
+      while (queue_.empty() && !draining_) queue_cv_.wait(lock);
       if (queue_.empty() && draining_) return;
       session = std::move(queue_.front());
       queue_.pop_front();
@@ -305,7 +290,6 @@ void Server::worker_loop(std::ostream& log) {
     {
       const core::MutexLock lock(mutex_);
       worker_busy_ = false;
-      active_token_ = nullptr;
     }
     done_cv_.notify_all();
   }
@@ -366,15 +350,10 @@ void Server::handle_session(Pending session, std::ostream& log) {
   driver.artifact_dir = (work / (session_name + ".artifacts")).string();
   std::filesystem::create_directories(driver.artifact_dir);
   driver.retries = request->retries;
+  driver.timeout_sec = request->timeout_sec;
   driver.study_seed =
       request->study_seed != 0 ? request->study_seed : options_.study_seed;
-  // A request-level per-experiment watchdog installs its own token around
-  // each attempt (shadowing the session token), so clamp it to the
-  // session budget — no attempt may outlive the connection deadline.
-  const double remaining = seconds_until(session.deadline);
-  if (request->timeout_sec > 0.0)
-    driver.timeout_sec = std::min(request->timeout_sec, remaining);
-  if (remaining <= 0.0) {
+  if (Clock::now() >= session.deadline) {
     obs::count(obs::Counter::kNetSessionsCancelled);
     StudyStatus status;
     status.status = "deadline";
@@ -384,32 +363,16 @@ void Server::handle_session(Pending session, std::ostream& log) {
     return;
   }
 
-  // 3. Run the study under the session token; a watchdog thread cancels
-  // on deadline expiry or when the client vanishes mid-study.
-  stats::CancellationToken token;
-  {
-    const core::MutexLock lock(mutex_);
-    active_token_ = &token;
-  }
-  // `token` is a stack local: the drain path dereferences active_token_
-  // under mutex_, so the pointer must be cleared before the token dies —
-  // on EVERY exit path out of this function.
-  struct TokenGuard {
-    Server* server;
-    ~TokenGuard() {
-      const core::MutexLock lock(server->mutex_);
-      server->active_token_ = nullptr;
-    }
-  } token_guard{this};
+  // 3. Run the study under the session's token, which fires by itself at
+  // the session deadline and nests under the drain token; a request's
+  // --timeout-sec attempts nest under both, so the deadline, a drain and a
+  // vanished client reach every attempt. A watchdog thread cancels the
+  // session when the client vanishes mid-study.
+  stats::CancellationToken token(session.deadline);
   std::atomic<bool> client_gone{false};
-  std::atomic<bool> deadline_hit{false};
   std::atomic<bool> session_done{false};
   std::thread watchdog([&] {
     while (!session_done.load(std::memory_order_relaxed)) {
-      if (Clock::now() >= session.deadline) {
-        deadline_hit.store(true, std::memory_order_relaxed);
-        token.request_cancel();
-      }
       if (session.socket.peer_closed() &&
           !client_gone.load(std::memory_order_relaxed)) {
         client_gone.store(true, std::memory_order_relaxed);
@@ -421,12 +384,14 @@ void Server::handle_session(Pending session, std::ostream& log) {
 
   cli::RunOutcome outcome;
   {
-    stats::ScopedCancellationToken install(&token);
+    const stats::ScopedCancellationToken drain(&drain_token_);
+    const stats::ScopedCancellationToken install(&token);
     ProgressBuf progress(session.socket, session.deadline, token,
                          client_gone);
     std::ostream progress_stream(&progress);
     outcome = cli::run_driver(registry_, driver, progress_stream);
   }
+  const bool deadline_hit = token.expired();
   session_done.store(true, std::memory_order_relaxed);
   watchdog.join();
 
@@ -437,16 +402,13 @@ void Server::handle_session(Pending session, std::ostream& log) {
     say(log, "vdbenchd: " + session_name + " client vanished; cancelled");
     return;
   }
-  const bool drain_cancelled = token.cancelled() &&
-                               !deadline_hit.load(std::memory_order_relaxed) &&
-                               outcome.exit_code != cli::kExitOk;
   StudyStatus status;
-  if (deadline_hit.load(std::memory_order_relaxed)) {
+  if (deadline_hit) {
     obs::count(obs::Counter::kNetSessionsCancelled);
     status.status = "deadline";
     status.exit_code = kExitTransport;
     status.error = "per-connection deadline exceeded";
-  } else if (drain_cancelled) {
+  } else if (drain_token_.cancelled() && outcome.exit_code != cli::kExitOk) {
     obs::count(obs::Counter::kNetSessionsCancelled);
     status.status = "draining";
     status.exit_code = kExitBusy;

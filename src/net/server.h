@@ -15,13 +15,15 @@
 //    "busy" status and closed — the daemon rejects loudly instead of
 //    queueing without bound or hanging the client.
 //  * Per-connection deadlines: each session gets `deadline_sec` of wall
-//    clock from admission to final status. A slow or dead client is
-//    cancelled through the executor's cooperative CancellationToken and
+//    clock from admission to final status. The session's study runs under
+//    a CancellationToken carrying that deadline, so a slow or dead client
 //    affects only its own study; a vanished client (EOF on probe) is
-//    detected mid-study and cancelled the same way.
+//    detected mid-study and cancels the same token. A request's
+//    `timeout_sec` attempts nest their own tokens under it, so neither
+//    the deadline nor a vanished client can be outlived by an attempt.
 //  * Serialized execution, shared concurrency: sessions run one at a
 //    time on a worker thread, each fanning out across the process-wide
-//    ParallelExecutor. The process-wide cancellation slot
+//    ParallelExecutor. The process-wide cancellation chain
 //    (stats::ScopedCancellationToken) makes concurrent driver runs in
 //    one process unsound, so admission ordering — not interleaving — is
 //    the concurrency model, and the shared cache turns repeat studies
@@ -33,8 +35,9 @@
 //  * Graceful drain: request_drain() (async-signal-safe, wired to
 //    SIGTERM/SIGINT by the binary) stops accepting, answers queued
 //    sessions with "draining", gives the in-flight study `drain_sec` to
-//    finish before cancelling it, then flushes a drain summary of the
-//    net.* counters and returns 0.
+//    finish, then fires one sticky drain token that every session's token
+//    nests under, flushes a drain summary of the net.* counters and
+//    returns 0.
 #pragma once
 
 #include <atomic>
@@ -111,6 +114,9 @@ class Server {
   int wake_read_ = -1;   ///< self-pipe: signal handler → accept loop
   int wake_write_ = -1;
   std::atomic<bool> drain_requested_{false};
+  /// Fired when the drain grace expires. Every session's token nests under
+  /// it, and it stays fired, so no session can start and miss it.
+  stats::CancellationToken drain_token_;
 
   core::Mutex mutex_;
   /// Wakes the worker on admission and drain; done_cv_ wakes the drain
@@ -120,9 +126,6 @@ class Server {
   std::deque<Pending> queue_ VDBENCH_GUARDED_BY(mutex_);
   bool draining_ VDBENCH_GUARDED_BY(mutex_) = false;
   bool worker_busy_ VDBENCH_GUARDED_BY(mutex_) = false;
-  /// Cancellation token of the in-flight session, for the drain path.
-  stats::CancellationToken* active_token_ VDBENCH_GUARDED_BY(mutex_) =
-      nullptr;
   std::uint64_t next_session_ VDBENCH_GUARDED_BY(mutex_) = 0;
   core::Mutex log_mutex_;
 };

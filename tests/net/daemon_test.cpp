@@ -111,12 +111,14 @@ class DaemonTest : public ::testing::Test {
   }
 
   [[nodiscard]] ClientOutcome run_client(const std::string& experiments,
-                                         bool want_manifest = false) {
+                                         bool want_manifest = false,
+                                         double timeout_sec = 0.0) {
     ClientOptions options;
     options.socket_path = options_.socket_path;
     options.request.experiments = experiments;
     options.request.threads = 0;
     options.request.want_manifest = want_manifest;
+    options.request.timeout_sec = timeout_sec;
     options.deadline_sec = 30.0;
     std::ostringstream progress;
     return run_study(options, progress);
@@ -173,7 +175,7 @@ class DaemonTest : public ::testing::Test {
 TEST_F(DaemonTest, ColdAndWarmClientExportsMatchALocalDriverRun) {
   // Local baseline first (its own cache, so the daemon's stays cold). It
   // must finish before any daemon session starts: the process-wide
-  // cancellation slot makes concurrent driver runs in one process unsound.
+  // cancellation chain makes concurrent driver runs in one process unsound.
   cli::DriverOptions baseline;
   baseline.experiments = "all";
   baseline.cache_dir = (dir_ / "baseline_cache").string();
@@ -306,6 +308,45 @@ TEST_F(DaemonTest, DrainAnswersDrainingAndLeavesParseableManifests) {
   }
   EXPECT_GE(manifests, 1u);
   EXPECT_NE(log_.str().find("drain summary"), std::string::npos);
+}
+
+// A request's timeout_sec gives each attempt a token of its own. The
+// session's drain, vanished client and deadline must still reach the study
+// under it, instead of waiting out the attempt's 30 s.
+TEST_F(DaemonTest, DrainReachesAStudyUnderARequestTimeout) {
+  options_.drain_sec = 0.2;
+  start_server();
+  ClientOutcome inflight;
+  std::thread one([&] {
+    inflight = run_client("gate", /*want_manifest=*/false,
+                          /*timeout_sec=*/30.0);
+  });
+  ASSERT_TRUE(wait_until([] { return g_gate_entered.load(); }));
+
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(stop_server(), 0);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 5s);
+  one.join();
+  EXPECT_EQ(inflight.status.status, "draining");
+  EXPECT_EQ(inflight.status.exit_code, kExitBusy);
+}
+
+TEST_F(DaemonTest, VanishedClientReachesAStudyUnderARequestTimeout) {
+  start_server();
+  {
+    Socket raw = connect_unix(options_.socket_path);
+    StudyRequest request;
+    request.experiments = "gate";
+    request.threads = 0;
+    request.timeout_sec = 30.0;
+    write_raw_frame(raw, FrameType::kRequest, encode_request(request));
+    ASSERT_TRUE(wait_until([] { return g_gate_entered.load(); }));
+  }  // scope exit closes the socket: the client vanishes mid-study
+  ASSERT_TRUE(wait_until(
+      [&] { return delta(obs::Counter::kNetSessionsCancelled) >= 1; }, 5s));
+  const ClientOutcome next = run_client("t1");
+  EXPECT_EQ(next.status.exit_code, 0);
+  EXPECT_EQ(stop_server(), 0);
 }
 
 TEST_F(DaemonTest, InjectedNetFaultsDegradeToStatusesNotCrashes) {

@@ -25,10 +25,30 @@
 
 namespace vdbench::stats {
 
+namespace mt64 {
+
+/// Words in the engine's state block.
+inline constexpr std::size_t kStateSize = 312;
+
+/// [rand.eng.mers]'s tempering of `y`, in place. W is one state word, or a
+/// vector of words in rng.cpp's block kernels; by reference, so a 32-byte
+/// vector never crosses a call in the baseline ABI.
+template <class W>
+void temper(W& y) noexcept {
+  y ^= (y >> 29) & 0x5555555555555555ULL;
+  y ^= (y << 17) & 0x71D67FFFEDA60000ULL;
+  y ^= (y << 37) & 0xFFF7EEE000000000ULL;
+  y ^= y >> 43;
+}
+
+}  // namespace mt64
+
 /// The 64-bit Mersenne Twister of [rand.predef]: the seeding, state
 /// recurrence and tempering of std::mt19937_64, hence its output sequence.
 /// The twist selects the matrix constant without a branch, and
-/// count_below() consumes a run of outputs a state block at a time.
+/// count_below() consumes a run of outputs a state block at a time. Both
+/// run four words at a time on a CPU with AVX2, probed once at run time,
+/// and one word at a time elsewhere; the outputs are the same.
 class Mt64 {
  public:
   /// Seed as [rand.eng.mers] does: x0 = seed and
@@ -38,7 +58,9 @@ class Mt64 {
   /// The next output.
   std::uint64_t operator()() noexcept {
     if (index_ == kStateSize) twist();
-    return temper(state_[index_++]);
+    std::uint64_t y = state_[index_++];
+    mt64::temper(y);
+    return y;
   }
 
   /// How many of the next n outputs are below `limit`. Leaves the engine
@@ -46,14 +68,7 @@ class Mt64 {
   std::uint64_t count_below(std::uint64_t n, std::uint64_t limit) noexcept;
 
  private:
-  static constexpr std::size_t kStateSize = 312;
-
-  static std::uint64_t temper(std::uint64_t y) noexcept {
-    y ^= (y >> 29) & 0x5555555555555555ULL;
-    y ^= (y << 17) & 0x71D67FFFEDA60000ULL;
-    y ^= (y << 37) & 0xFFF7EEE000000000ULL;
-    return y ^ (y >> 43);
-  }
+  static constexpr std::size_t kStateSize = mt64::kStateSize;
 
   /// Replace the state by its next block of kStateSize words.
   void twist() noexcept;

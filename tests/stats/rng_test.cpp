@@ -4,10 +4,14 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <random>
 #include <set>
+
+#include "stats/mt64_kernels.h"
 
 namespace vdbench::stats {
 namespace {
@@ -35,6 +39,104 @@ TEST(RngEngineTest, MatchesStdMt19937_64) {
     for (int i = 0; i < 1'000'000; ++i)
       ASSERT_EQ(owned(), standard()) << "seed " << seed << ", output " << i;
   }
+}
+
+// The block kernels, each build called directly, against a scalar reference
+// written from [rand.eng.mers]: indices wrap modulo n, and the transition
+// branches on the low bit as the standard's formula reads.
+using State = std::array<std::uint64_t, mt64::kStateSize>;
+
+State seeded_state(std::uint64_t seed) {
+  State x{};
+  x[0] = seed;
+  for (std::size_t i = 1; i < x.size(); ++i)
+    x[i] = 6364136223846793005ULL * (x[i - 1] ^ (x[i - 1] >> 62)) + i;
+  return x;
+}
+
+void reference_twist(State& x) {
+  const std::size_t n = x.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t y =
+        (x[i] & ~std::uint64_t{0x7FFFFFFF}) | (x[(i + 1) % n] & 0x7FFFFFFF);
+    x[i] = x[(i + 156) % n] ^ (y >> 1);
+    if (y & 1) x[i] ^= 0xB5026F5AA96619E9ULL;
+  }
+}
+
+std::uint64_t reference_temper(std::uint64_t y) {
+  y ^= (y >> 29) & 0x5555555555555555ULL;
+  y ^= (y << 17) & 0x71D67FFFEDA60000ULL;
+  y ^= (y << 37) & 0xFFF7EEE000000000ULL;
+  return y ^ (y >> 43);
+}
+
+using TwistKernel = void (*)(std::uint64_t*) noexcept;
+using CountKernel = std::uint64_t (*)(const std::uint64_t*, std::size_t,
+                                      std::uint64_t) noexcept;
+
+void expect_twist_matches_reference(TwistKernel twist) {
+  for (const std::uint64_t seed :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{5489},
+        std::uint64_t{20150622}, std::numeric_limits<std::uint64_t>::max()}) {
+    State reference = seeded_state(seed);
+    State kernel = reference;
+    for (int block = 0; block < 5; ++block) {
+      reference_twist(reference);
+      twist(kernel.data());
+      for (std::size_t i = 0; i < kernel.size(); ++i)
+        ASSERT_EQ(kernel[i], reference[i])
+            << "seed " << seed << ", block " << block << ", word " << i;
+    }
+  }
+}
+
+void expect_count_matches_reference(CountKernel count) {
+  State words = seeded_state(20150622);
+  reference_twist(words);
+  const auto at = [](double p) {
+    return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53)) << 11;
+  };
+  for (const std::uint64_t limit :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{1} << 63,
+        std::numeric_limits<std::uint64_t>::max(), at(1e-4), at(0.3),
+        at(0.97)}) {
+    // below[i]: how many of the first i tempered words are below limit.
+    std::array<std::uint64_t, mt64::kStateSize + 1> below{};
+    for (std::size_t i = 0; i < words.size(); ++i)
+      below[i + 1] = below[i] + (reference_temper(words[i]) < limit ? 1 : 0);
+    for (std::size_t start = 0; start <= words.size(); ++start)
+      for (std::size_t n = 0; start + n <= words.size(); ++n)
+        ASSERT_EQ(count(words.data() + start, n, limit),
+                  below[start + n] - below[start])
+            << "limit " << limit << ", start " << start << ", length " << n;
+  }
+}
+
+TEST(RngKernelTest, PortableTwistMatchesTheReference) {
+  expect_twist_matches_reference(mt64::twist_portable);
+}
+
+TEST(RngKernelTest, PortableCountMatchesTheReference) {
+  expect_count_matches_reference(mt64::count_below_portable);
+}
+
+TEST(RngKernelTest, Avx2TwistMatchesTheReference) {
+#if defined(__x86_64__)
+  if (!mt64::has_avx2()) GTEST_SKIP() << "this CPU has no AVX2";
+  expect_twist_matches_reference(mt64::twist_avx2);
+#else
+  GTEST_SKIP() << "the AVX2 kernels are built on x86-64 only";
+#endif
+}
+
+TEST(RngKernelTest, Avx2CountMatchesTheReference) {
+#if defined(__x86_64__)
+  if (!mt64::has_avx2()) GTEST_SKIP() << "this CPU has no AVX2";
+  expect_count_matches_reference(mt64::count_below_avx2);
+#else
+  GTEST_SKIP() << "the AVX2 kernels are built on x86-64 only";
+#endif
 }
 
 TEST(RngTest, SameSeedSameStream) {

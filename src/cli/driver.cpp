@@ -390,14 +390,7 @@ AttemptOutcome execute_attempt(const Experiment& experiment,
   if (timeout_sec <= 0.0)
     return run_body(experiment, timer, study, stream, corpus);
 
-  // A budget past the clock's range saturates: it never fires.
-  using Clock = stats::CancellationToken::Clock;
-  const Clock::time_point now = Clock::now();
-  const std::chrono::duration<double> budget(timeout_sec);
-  const stats::CancellationToken token(
-      budget < Clock::time_point::max() - now
-          ? now + std::chrono::duration_cast<Clock::duration>(budget)
-          : Clock::time_point::max());
+  const stats::CancellationToken token(stats::deadline_after(timeout_sec));
   const stats::ScopedCancellationToken install(&token);
   AttemptOutcome result = run_body(experiment, timer, study, stream, corpus);
   if (token.expired()) {
@@ -860,14 +853,21 @@ RunOutcome run_driver(const ExperimentRegistry& registry,
       AttemptOutcome attempt;
       for (std::size_t attempt_no = 0; attempt_no <= options.retries;
            ++attempt_no) {
-        if (attempt_no > 0) {
-          // A cancelled run (a daemon session's deadline, a drain, a
-          // vanished client) stops retrying: every further attempt would
-          // fail at once. An attempt's own --timeout-sec token is
-          // uninstalled by now, so its timeouts still retry.
-          if (stats::cancellation_requested()) break;
-          obs::count(obs::Counter::kRetries);
+        // A cancelled run (a daemon session's deadline, a drain, a vanished
+        // client) starts no further attempt: a body that polls would fail
+        // at once, and one that never polls would compute in full for
+        // nobody. An experiment that never started fails as a body that is
+        // cancelled at its first poll does. An attempt's own --timeout-sec
+        // token is uninstalled by now, so its timeouts still retry.
+        if (stats::cancellation_requested()) {
+          if (attempt_no == 0) {
+            attempt.error_class = "timeout";
+            attempt.error = "the run was cancelled before the experiment "
+                            "started";
+          }
+          break;
         }
+        if (attempt_no > 0) obs::count(obs::Counter::kRetries);
         stats::StageTimer attempt_timer;
         obs::TimedSpan attempt_span(obs::names::kDriverAttempt,
                                     experiment->id);

@@ -1,10 +1,10 @@
 #include "net/client.h"
 
-#include <chrono>
 #include <cstddef>
 
 #include "net/frame.h"
 #include "net/socket.h"
+#include "stats/parallel.h"
 
 namespace vdbench::net {
 
@@ -21,10 +21,7 @@ ClientOutcome transport_failure(const std::string& detail) {
 }  // namespace
 
 ClientOutcome run_study(const ClientOptions& options, std::ostream& progress) {
-  const Deadline deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(options.deadline_sec));
+  const Deadline deadline = stats::deadline_after(options.deadline_sec);
   ClientOutcome outcome;
   std::string request_error;
   try {

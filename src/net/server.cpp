@@ -31,17 +31,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-Deadline after_seconds(double seconds) {
-  return Clock::now() +
-         std::chrono::duration_cast<Clock::duration>(
-             std::chrono::duration<double>(seconds));
-}
-
 // Best-effort final status on a connection that never got a study: short
 // write deadline, failures swallowed (the peer may already be gone).
 void send_status_best_effort(Socket& socket, const StudyStatus& status) {
   try {
-    const Deadline deadline = after_seconds(1.0);
+    const Deadline deadline = stats::deadline_after(1.0);
     write_frame(
         [&](const char* src, std::size_t n) {
           socket.write_all(src, n, deadline);
@@ -169,7 +163,7 @@ void Server::admit_or_reject(Socket socket, std::ostream& log) {
       id = ++next_session_;
       Pending pending;
       pending.socket = std::move(socket);
-      pending.deadline = after_seconds(options_.deadline_sec);
+      pending.deadline = stats::deadline_after(options_.deadline_sec);
       pending.id = id;
       queue_.push_back(std::move(pending));
       obs::Registry::global().set(obs::Gauge::kNetQueueDepth, queue_.size());
@@ -248,7 +242,7 @@ int Server::run(std::ostream& log) {
   // atomically and returns, so the join below is bounded.
   {
     core::MutexLock lock(mutex_);
-    const Deadline grace = after_seconds(options_.drain_sec);
+    const Deadline grace = stats::deadline_after(options_.drain_sec);
     while (worker_busy_ && Clock::now() < grace)
       done_cv_.wait_until(lock, grace);
     if (worker_busy_) {
@@ -304,7 +298,7 @@ void Server::handle_session(Pending session, std::ostream& log) {
   // no token guards this phase yet, and drain must not wait out the full
   // session budget for a client that connected and went silent.
   const Deadline request_deadline =
-      std::min(session.deadline, after_seconds(options_.request_sec));
+      std::min(session.deadline, stats::deadline_after(options_.request_sec));
   Frame request_frame;
   try {
     request_frame = read_frame(
@@ -419,7 +413,7 @@ void Server::handle_session(Pending session, std::ostream& log) {
   }
 
   const Deadline send_deadline =
-      std::max(session.deadline, after_seconds(2.0));
+      std::max(session.deadline, stats::deadline_after(2.0));
   const WriteAllFn sink = [&](const char* src, std::size_t n) {
     session.socket.write_all(src, n, send_deadline);
   };

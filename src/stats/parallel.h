@@ -25,6 +25,7 @@
 // exactly as in the shared-counter scheduler this replaced.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
@@ -72,6 +73,19 @@ class CancellationToken {
   std::atomic<bool> cancelled_{false};
   Clock::time_point deadline_ = Clock::time_point::max();
 };
+
+/// The steady-clock time `seconds` from now, for a token's or a socket's
+/// deadline. A budget past the clock's range saturates to
+/// time_point::max(), a deadline that never passes; a negative one is now.
+[[nodiscard]] inline CancellationToken::Clock::time_point deadline_after(
+    double seconds) noexcept {
+  using Clock = CancellationToken::Clock;
+  const Clock::time_point now = Clock::now();
+  const std::chrono::duration<double> budget(std::max(seconds, 0.0));
+  return budget < Clock::time_point::max() - now
+             ? now + std::chrono::duration_cast<Clock::duration>(budget)
+             : Clock::time_point::max();
+}
 
 /// Thrown by parallel_for_indexed (and cooperative stall points) when an
 /// installed CancellationToken fires.

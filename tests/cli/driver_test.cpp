@@ -421,18 +421,33 @@ TEST_F(DriverTest, RetryRecoversAndResultIsByteIdenticalToCleanRun) {
 
 TEST_F(DriverTest, CancelledRunStopsRetrying) {
   // A daemon session's token fires on its deadline, a drain or a vanished
-  // client; once it has, every retry would fail at once.
+  // client. Once it has, no experiment starts: a body that never polls
+  // would otherwise compute in full for nobody.
   DriverOptions options = base_options();
   options.quiet = true;
   options.retries = 5;
+  std::vector<int> calls(2, 0);
+  ExperimentRegistry registry;
+  for (std::size_t i = 0; i < calls.size(); ++i)
+    registry.add({"n" + std::to_string(i + 1), "never polls",
+                  "counted{i=" + std::to_string(i) + "}", true,
+                  [&calls, i](ExperimentContext& ctx) {
+                    ++calls[i];
+                    ctx.out << "computed\n";
+                  }});
   stats::CancellationToken token;
   token.request_cancel();
   const stats::ScopedCancellationToken install(&token);
   std::ostringstream out;
-  const RunOutcome run = run_driver(
-      flaky_registry(std::make_shared<int>(100)), options, out);
-  ASSERT_EQ(run.experiments.size(), 1u);
-  EXPECT_EQ(run.experiments[0].attempts.size(), 1u) << out.str();
+  const RunOutcome run = run_driver(registry, options, out);
+  ASSERT_EQ(run.experiments.size(), 2u);
+  for (std::size_t i = 0; i < calls.size(); ++i) {
+    EXPECT_EQ(calls[i], 0) << "experiment " << i + 1 << " ran";
+    const ExperimentOutcome& outcome = run.experiments[i];
+    EXPECT_EQ(outcome.source, ExperimentOutcome::Source::kFailed);
+    EXPECT_EQ(outcome.error_class, "timeout");
+    EXPECT_TRUE(outcome.attempts.empty()) << out.str();
+  }
   EXPECT_EQ(run.exit_code, kExitUnusable);
 }
 

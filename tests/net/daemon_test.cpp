@@ -205,6 +205,23 @@ TEST_F(DaemonTest, ColdAndWarmClientExportsMatchALocalDriverRun) {
   EXPECT_EQ(stop_server(), 0);
 }
 
+TEST_F(DaemonTest, DeadlinesPastTheClocksRangeNeverFire) {
+  // 1e20 s lies past steady_clock's range: the session's and the client's
+  // deadlines saturate to "never" instead of wrapping into the past.
+  options_.deadline_sec = 1e20;
+  start_server();
+  ClientOptions options;
+  options.socket_path = options_.socket_path;
+  options.request.experiments = "t1";
+  options.deadline_sec = 1e20;
+  std::ostringstream progress;
+  const ClientOutcome outcome = run_study(options, progress);
+  EXPECT_EQ(outcome.status.status, "ok") << outcome.status.error;
+  EXPECT_EQ(outcome.status.exit_code, 0);
+  EXPECT_FALSE(outcome.export_json.empty());
+  EXPECT_EQ(stop_server(), 0);
+}
+
 TEST_F(DaemonTest, ConcurrentSessionsForOneStudyComputeItOnce) {
   start_server();
   ClientOutcome first;

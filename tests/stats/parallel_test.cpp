@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -223,6 +224,22 @@ TEST(CancellationTest, ADeadlineFiresWithoutAWatchdog) {
                                 std::chrono::hours(1));
   EXPECT_FALSE(later.cancelled());
   EXPECT_FALSE(CancellationToken().expired());  // no deadline, never expires
+}
+
+TEST(CancellationTest, DeadlineAfterSaturatesPastTheClocksRange) {
+  using Clock = CancellationToken::Clock;
+  EXPECT_EQ(deadline_after(1e20), Clock::time_point::max());
+  EXPECT_EQ(deadline_after(std::numeric_limits<double>::infinity()),
+            Clock::time_point::max());
+  EXPECT_FALSE(CancellationToken(deadline_after(1e20)).expired());
+  const Clock::time_point before = Clock::now();
+  const Clock::time_point now = deadline_after(0.0);
+  EXPECT_GE(now, before);
+  EXPECT_LE(now, Clock::now());
+  EXPECT_TRUE(CancellationToken(deadline_after(0.0)).expired());
+  const Clock::time_point hour = deadline_after(3600.0);
+  EXPECT_GE(hour - before, std::chrono::seconds(3600));
+  EXPECT_LT(hour - before, std::chrono::seconds(3660));
 }
 
 TEST(CancellationTest, CancelBeforeInstallIsObservedOnFirstPoll) {

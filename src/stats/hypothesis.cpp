@@ -49,11 +49,18 @@ double betacf(double a, double b, double x) {
   return h;
 }
 
+// ln |Gamma(x)|. std::lgamma would write the global signgam, a data race
+// when pool workers run tests at once (e16's campaign tasks do); lgamma_r
+// returns the sign through a local and computes the same bits.
+double log_gamma(double x) {
+  int sign = 0;
+  return lgamma_r(x, &sign);
+}
+
 double incbeta(double a, double b, double x) {
   if (x <= 0.0) return 0.0;
   if (x >= 1.0) return 1.0;
-  const double ln_beta =
-      std::lgamma(a + b) - std::lgamma(a) - std::lgamma(b);
+  const double ln_beta = log_gamma(a + b) - log_gamma(a) - log_gamma(b);
   const double front = std::exp(ln_beta + a * std::log(x) +
                                 b * std::log(1.0 - x));
   if (x < (a + 1.0) / (a + b + 2.0)) {

@@ -55,6 +55,55 @@ void run_task(const std::function<void(std::size_t)>& fn, std::size_t i) {
   obs::count(obs::Counter::kTasksExecuted);
 }
 
+// One parallel_for_indexed call: the range [0, n), the one counter every
+// participant claims indices from, and the lowest-index error. It lives on
+// the calling thread's stack; the caller waits for every worker to leave it
+// before returning.
+struct Job {
+  const std::function<void(std::size_t)>& fn;
+  const std::size_t n;
+  std::atomic<std::size_t> next{0};
+
+  std::mutex error_mutex{};
+  std::exception_ptr first_error{};
+  std::size_t first_error_index = std::numeric_limits<std::size_t>::max();
+
+  // Claim and run tasks until the range is exhausted. Every task runs even
+  // after a failure so the propagated (lowest-index) exception does not
+  // depend on scheduling — except under cancellation, where remaining tasks
+  // are abandoned and the whole computation is discarded anyway.
+  void work() {
+    const bool was_inside = tl_inside_task;
+    tl_inside_task = true;
+    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
+         i = next.fetch_add(1, std::memory_order_relaxed)) {
+      if (cancellation_requested()) {
+        obs::count(obs::Counter::kTasksCancelled);
+        obs::instant(obs::names::kExecutorCancel);
+        break;
+      }
+      try {
+        run_task(fn, i);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(error_mutex);
+        if (i < first_error_index) {
+          first_error_index = i;
+          first_error = std::current_exception();
+        }
+      }
+    }
+    tl_inside_task = was_inside;
+  }
+
+  // Called once every participant has left work(). Cancellation outranks
+  // task errors: both mean the computation is void, but Cancelled tells the
+  // supervisor a token (not the workload) spoke.
+  void finish() const {
+    if (cancellation_requested()) throw Cancelled();
+    if (first_error) std::rethrow_exception(first_error);
+  }
+};
+
 }  // namespace
 
 ScopedCancellationToken::ScopedCancellationToken(
@@ -87,91 +136,24 @@ void stall_until_cancelled(std::string_view point) {
 
 struct ParallelExecutor::Impl {
   std::size_t thread_count = 1;
-  std::vector<std::thread> workers;
 
   std::mutex mutex;
   std::condition_variable work_ready;
   std::condition_variable work_done;
   bool stopping = false;
 
-  // State of the job currently being executed (guarded by mutex; the
-  // per-shard index ranges below have their own locks).
+  // The job being executed (guarded by mutex); each call publishes its own
+  // under a new generation.
   std::uint64_t generation = 0;
-  const std::function<void(std::size_t)>* fn = nullptr;
-  std::size_t n = 0;
+  Job* job = nullptr;
   std::size_t workers_active = 0;
 
-  // Work stealing: the index range [0, n) is pre-partitioned into one
-  // contiguous chunk per participant (worker threads own shards
-  // 0..thread_count-2, the calling thread owns the last). An owner pops
-  // from the FRONT of its shard so each thread still sweeps its chunk in
-  // ascending index order (cache-friendly for slot-indexed writes); a
-  // thread whose shard is empty scans the other shards in a fixed
-  // round-robin order and steals from the BACK, keeping owner and thief
-  // on opposite ends of the range. Each shard is guarded by its own
-  // mutex — claims are two loads and an increment under an uncontended
-  // lock; contention only appears at the end of a shard, exactly when
-  // stealing is useful. Because the range is fixed up front, a full empty
-  // scan means the job has no unclaimed work and the thread can retire.
-  struct Shard {
-    std::mutex m;
-    std::size_t head = 0;  ///< next unclaimed index
-    std::size_t tail = 0;  ///< one past the last unclaimed index
-  };
-  std::vector<std::unique_ptr<Shard>> shards;
+  std::vector<std::thread> workers;
 
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-  std::size_t first_error_index = std::numeric_limits<std::size_t>::max();
-
-  static constexpr std::size_t kNoTask =
-      std::numeric_limits<std::size_t>::max();
-
-  // Next task for participant `self`: own shard front, else steal from the
-  // back of the first non-empty victim in deterministic scan order.
-  std::size_t claim(std::size_t self) {
-    {
-      Shard& own = *shards[self];
-      std::lock_guard<std::mutex> lock(own.m);
-      if (own.head < own.tail) return own.head++;
-    }
-    const std::size_t k = shards.size();
-    for (std::size_t offset = 1; offset < k; ++offset) {
-      Shard& victim = *shards[(self + offset) % k];
-      std::lock_guard<std::mutex> lock(victim.m);
-      if (victim.head < victim.tail) return --victim.tail;
-    }
-    return kNoTask;
-  }
-
-  // Claim and run tasks until no shard has unclaimed work. Every task runs
-  // even after a failure so the propagated (lowest-index) exception does not
-  // depend on scheduling — except under cancellation, where remaining tasks
-  // are abandoned and the whole computation is discarded anyway.
-  void drain(std::size_t self) {
-    tl_inside_task = true;
-    for (std::size_t i = claim(self); i != kNoTask; i = claim(self)) {
-      if (cancellation_requested()) {
-        obs::count(obs::Counter::kTasksCancelled);
-        obs::instant(obs::names::kExecutorCancel);
-        break;
-      }
-      try {
-        run_task(*fn, i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mutex);
-        if (i < first_error_index) {
-          first_error_index = i;
-          first_error = std::current_exception();
-        }
-      }
-    }
-    tl_inside_task = false;
-  }
-
-  void worker_loop(std::size_t self) {
+  void worker_loop() {
     std::uint64_t seen_generation = 0;
     for (;;) {
+      Job* current = nullptr;
       {
         std::unique_lock<std::mutex> lock(mutex);
         work_ready.wait(lock, [&] {
@@ -179,8 +161,9 @@ struct ParallelExecutor::Impl {
         });
         if (stopping) return;
         seen_generation = generation;
+        current = job;
       }
-      drain(self);
+      current->work();
       {
         std::lock_guard<std::mutex> lock(mutex);
         if (--workers_active == 0) work_done.notify_all();
@@ -192,14 +175,10 @@ struct ParallelExecutor::Impl {
 ParallelExecutor::ParallelExecutor(std::size_t threads)
     : impl_(std::make_unique<Impl>()) {
   impl_->thread_count = threads == 0 ? default_thread_count() : threads;
-  impl_->shards.reserve(impl_->thread_count);
-  for (std::size_t i = 0; i < impl_->thread_count; ++i)
-    impl_->shards.push_back(std::make_unique<Impl::Shard>());
   const std::size_t worker_count = impl_->thread_count - 1;
   impl_->workers.reserve(worker_count);
   for (std::size_t i = 0; i < worker_count; ++i)
-    impl_->workers.emplace_back(
-        [impl = impl_.get(), i] { impl->worker_loop(i); });
+    impl_->workers.emplace_back([impl = impl_.get()] { impl->worker_loop(); });
 }
 
 ParallelExecutor::~ParallelExecutor() {
@@ -218,68 +197,31 @@ std::size_t ParallelExecutor::thread_count() const noexcept {
 void ParallelExecutor::parallel_for_indexed(
     std::size_t n, const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
+  Job job{fn, n};
 
-  // Serial fallback: single-thread pool, tiny range, or a nested call from
-  // inside a task (the fixed pool must not wait on itself). Runs the exact
-  // same claim loop so behaviour — including which exception propagates —
-  // matches the parallel path.
+  // A one-thread pool, a one-task range and a nested call from inside a
+  // task (the fixed pool must not wait on itself) leave the workers asleep:
+  // the calling thread runs the job's loop alone.
   if (impl_->thread_count == 1 || n == 1 || tl_inside_task) {
-    std::exception_ptr first_error;
-    std::size_t first_error_index = std::numeric_limits<std::size_t>::max();
-    const bool was_inside = tl_inside_task;
-    tl_inside_task = true;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (cancellation_requested()) {
-        obs::count(obs::Counter::kTasksCancelled);
-        obs::instant(obs::names::kExecutorCancel);
-        break;
-      }
-      try {
-        run_task(fn, i);
-      } catch (...) {
-        if (i < first_error_index) {
-          first_error_index = i;
-          first_error = std::current_exception();
-        }
-      }
-    }
-    tl_inside_task = was_inside;
-    if (cancellation_requested()) throw Cancelled();
-    if (first_error) std::rethrow_exception(first_error);
+    job.work();
+    job.finish();
     return;
   }
 
   {
     std::lock_guard<std::mutex> lock(impl_->mutex);
-    impl_->fn = &fn;
-    impl_->n = n;
-    // Partition [0, n) into one contiguous chunk per shard; empty chunks
-    // (n < thread_count) are fine — those participants go straight to
-    // stealing, then retire.
-    const std::size_t k = impl_->shards.size();
-    for (std::size_t s = 0; s < k; ++s) {
-      impl_->shards[s]->head = s * n / k;
-      impl_->shards[s]->tail = (s + 1) * n / k;
-    }
-    impl_->first_error = nullptr;
-    impl_->first_error_index = std::numeric_limits<std::size_t>::max();
+    impl_->job = &job;
     impl_->workers_active = impl_->workers.size();
     ++impl_->generation;
   }
   impl_->work_ready.notify_all();
-
-  // The calling thread participates, owning the last shard.
-  impl_->drain(impl_->shards.size() - 1);
-
+  job.work();  // the calling thread participates
   {
     std::unique_lock<std::mutex> lock(impl_->mutex);
     impl_->work_done.wait(lock, [&] { return impl_->workers_active == 0; });
-    impl_->fn = nullptr;
+    impl_->job = nullptr;
   }
-  // Cancellation outranks task errors: both mean the computation is void,
-  // but Cancelled tells the supervisor a token (not the workload) spoke.
-  if (cancellation_requested()) throw Cancelled();
-  if (impl_->first_error) std::rethrow_exception(impl_->first_error);
+  job.finish();
 }
 
 std::size_t ParallelExecutor::default_thread_count() {

@@ -15,14 +15,10 @@
 // (a task that itself fans out) run inline on the worker thread, so nesting
 // cannot deadlock the fixed pool.
 //
-// Scheduling is work-stealing: the index range is pre-partitioned into one
-// contiguous chunk per participant, owners sweep their chunk front-to-back,
-// and idle threads steal from the back of the busiest survivors — so an
-// imbalanced sweep (one slow scenario amid cheap ones) no longer serialises
-// on the slowest shard. Stealing changes WHERE a task runs, never what it
-// computes or where it writes, so the determinism contract above is
-// unaffected; cancellation and lowest-index error propagation behave
-// exactly as in the shared-counter scheduler this replaced.
+// Each call has one claim counter: the calling thread and every worker take
+// the next unclaimed index from it until the range is exhausted, so a free
+// thread always picks up the next task of an uneven sweep. The schedule
+// changes only WHEN task i runs, so the contract above holds.
 #pragma once
 
 #include <algorithm>

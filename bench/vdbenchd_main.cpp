@@ -14,6 +14,7 @@
 #include "fault/injector.h"
 #include "net/server.h"
 #include "stats/env.h"
+#include "stats/parallel.h"
 #include "study_common.h"
 
 namespace {
@@ -35,7 +36,8 @@ void print_usage(std::ostream& out) {
          "(default 5)\n"
          "  --drain-sec X        grace for in-flight work on drain "
          "(default 5)\n"
-         "  --threads N          parallel engine default for sessions\n"
+         "  --threads N          parallel engine default for sessions "
+         "(at most 256)\n"
          "  --cache-dir PATH     shared result cache directory\n"
          "  --work-dir PATH      session manifests/exports (default "
          ".vdbenchd)\n"
@@ -82,7 +84,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--drain-sec") {
       ok = parse_seconds(value(), options.drain_sec);
     } else if (arg == "--threads") {
-      ok = parse_size(value(), options.threads);
+      ok = parse_size(value(), options.threads) &&
+           options.threads <= vdbench::stats::kMaxThreads;
     } else if (arg == "--cache-dir") {
       options.cache_dir = std::string(value());
       ok = !options.cache_dir.empty();

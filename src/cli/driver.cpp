@@ -40,9 +40,9 @@ every attempt in a crash-safe run manifest.
 options:
   --experiments LIST   comma-separated ids (e.g. e2,e6,e13) or "all"
                        (default: all cacheable experiments)
-  --threads N          worker count for the parallel engine (default:
-                       VDBENCH_THREADS or hardware concurrency); results
-                       are bit-identical for any value
+  --threads N          worker count for the parallel engine, 1 to 256
+                       (default: VDBENCH_THREADS or hardware concurrency);
+                       results are bit-identical for any value
   --cache-dir PATH     cache location (default: VDBENCH_CACHE_DIR or
                        .vdbench-cache)
   --cache-max-bytes N  LRU size cap (default: VDBENCH_CACHE_MAX_BYTES or
@@ -581,8 +581,8 @@ std::optional<DriverOptions> parse_args(int argc, const char* const* argv,
     } else if (flag_matches(arg, "--threads")) {
       if (!take_value(i, "--threads", value)) return std::nullopt;
       const std::optional<std::uint64_t> n = stats::parse_uint64(value);
-      if (!n || *n < 1)
-        return reject("--threads", "a positive integer", value);
+      if (!n || *n < 1 || *n > stats::kMaxThreads)
+        return reject("--threads", "an integer from 1 to 256", value);
       options.threads = static_cast<std::size_t>(*n);
     } else if (flag_matches(arg, "--retries")) {
       if (!take_value(i, "--retries", value)) return std::nullopt;

@@ -175,6 +175,9 @@ struct ParallelExecutor::Impl {
 ParallelExecutor::ParallelExecutor(std::size_t threads)
     : impl_(std::make_unique<Impl>()) {
   impl_->thread_count = threads == 0 ? default_thread_count() : threads;
+  if (impl_->thread_count > kMaxThreads)
+    throw std::invalid_argument("ParallelExecutor: more than " +
+                                std::to_string(kMaxThreads) + " threads");
   const std::size_t worker_count = impl_->thread_count - 1;
   impl_->workers.reserve(worker_count);
   for (std::size_t i = 0; i < worker_count; ++i)
@@ -226,10 +229,11 @@ void ParallelExecutor::parallel_for_indexed(
 
 std::size_t ParallelExecutor::default_thread_count() {
   if (const std::optional<std::uint64_t> env =
-          env_uint64_at_least("VDBENCH_THREADS", 1))
+          env_uint64_at_least("VDBENCH_THREADS", 1);
+      env && *env <= kMaxThreads)
     return static_cast<std::size_t>(*env);
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<std::size_t>(hw);
+  return std::clamp<std::size_t>(std::thread::hardware_concurrency(), 1,
+                                 kMaxThreads);
 }
 
 namespace {

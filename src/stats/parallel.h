@@ -10,8 +10,9 @@
 // where it writes.
 //
 // The process-wide pool is created once on first use; its size comes from the
-// VDBENCH_THREADS environment variable when set (>= 1), otherwise from
-// std::thread::hardware_concurrency(). Nested parallel_for_indexed calls
+// VDBENCH_THREADS environment variable when set (1 to kMaxThreads), otherwise
+// from std::thread::hardware_concurrency(). No pool holds more than
+// kMaxThreads threads. Nested parallel_for_indexed calls
 // (a task that itself fans out) run inline on the worker thread, so nesting
 // cannot deadlock the fixed pool.
 //
@@ -122,7 +123,8 @@ class ScopedCancellationToken {
 /// wedge a run; past the cap it throws fault::InjectedFault.
 [[noreturn]] void stall_until_cancelled(std::string_view point);
 
-/// The most threads a daemon request may ask the pool for.
+/// The most threads a pool may hold. vdbench --threads, vdbenchd --threads
+/// and a daemon request reject more; VDBENCH_THREADS above it is ignored.
 inline constexpr std::size_t kMaxThreads = 256;
 
 /// Fixed-size thread pool with an indexed fork-join primitive.
@@ -130,7 +132,8 @@ class ParallelExecutor {
  public:
   /// Create a pool that runs up to `threads` tasks concurrently (the calling
   /// thread participates, so `threads` == 1 means no worker threads at all).
-  /// `threads` == 0 picks default_thread_count().
+  /// `threads` == 0 picks default_thread_count(). Throws
+  /// std::invalid_argument above kMaxThreads, before starting any thread.
   explicit ParallelExecutor(std::size_t threads = 0);
   ~ParallelExecutor();
 
@@ -152,8 +155,8 @@ class ParallelExecutor {
                             const std::function<void(std::size_t)>& fn);
 
   /// Pool size chosen when none is given explicitly: VDBENCH_THREADS when the
-  /// environment variable holds an integer >= 1, else hardware concurrency,
-  /// with a floor of 1.
+  /// environment variable holds an integer from 1 to kMaxThreads, else
+  /// hardware concurrency clamped to [1, kMaxThreads].
   [[nodiscard]] static std::size_t default_thread_count();
 
  private:

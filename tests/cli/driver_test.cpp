@@ -139,7 +139,7 @@ TEST(ParseArgsTest, RejectsUnknownFlagsAndBadValues) {
   // Numbers are digits only: no trailing junk, sign, whitespace, overflow
   // or non-finite value gets through (a NaN rate would turn the gate off).
   for (const char* bad : {"--threads=3abc", "--threads= 3", "--threads=+3",
-                          "--cache-max-bytes=-1",
+                          "--threads=257", "--cache-max-bytes=-1",
                           "--cache-max-bytes=18446744073709551616",
                           "--min-hit-rate=nan", "--min-hit-rate=-0"}) {
     const char* argv[] = {"vdbench", bad};

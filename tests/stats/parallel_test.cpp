@@ -4,9 +4,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -126,6 +129,24 @@ TEST(ParallelExecutorTest, IndexedRngSplitIsThreadCountInvariant) {
 
 TEST(ParallelExecutorTest, DefaultThreadCountIsAtLeastOne) {
   EXPECT_GE(ParallelExecutor::default_thread_count(), 1u);
+}
+
+TEST(ParallelExecutorTest, PoolLargerThanTheCapIsRejected) {
+  EXPECT_THROW(ParallelExecutor(kMaxThreads + 1), std::invalid_argument);
+}
+
+TEST(ParallelExecutorTest, DefaultThreadCountIgnoresVdbenchThreadsAboveTheCap) {
+  const char* saved = std::getenv("VDBENCH_THREADS");
+  const std::optional<std::string> restore =
+      saved != nullptr ? std::optional<std::string>(saved) : std::nullopt;
+  EXPECT_EQ(::setenv("VDBENCH_THREADS", "257", 1), 0);
+  EXPECT_LE(ParallelExecutor::default_thread_count(), kMaxThreads);
+  EXPECT_EQ(::setenv("VDBENCH_THREADS", "3", 1), 0);
+  EXPECT_EQ(ParallelExecutor::default_thread_count(), 3u);
+  if (restore.has_value())
+    ::setenv("VDBENCH_THREADS", restore->c_str(), 1);
+  else
+    ::unsetenv("VDBENCH_THREADS");
 }
 
 TEST(GlobalExecutorTest, SetGlobalThreadsReplacesPool) {

@@ -96,7 +96,7 @@ void register_e19(cli::ExperimentRegistry& registry);
 
 /// "probe": a deliberately cheap 256-task parallel checksum used by the CI
 /// fault matrix and resilience tests as a drill target for `executor.task`
-/// faults and watchdog cancellation. Non-cacheable, so it never joins the
+/// faults and cancellation. Non-cacheable, so it never joins the
 /// "all" selection and leaves the study outputs untouched.
 void register_probe(cli::ExperimentRegistry& registry);
 

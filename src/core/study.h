@@ -44,8 +44,8 @@ struct StudyConfig {
 
 /// Computes each study stage on first request and keeps the result.
 ///
-/// A stage whose computation throws (an injected fault, a watchdog
-/// cancellation) stores nothing, so the next request computes it afresh.
+/// A stage whose computation throws (an injected fault, a cancellation)
+/// stores nothing, so the next request computes it afresh.
 /// Not thread-safe: one Study serves one run, from one thread at a time.
 class Study {
  public:

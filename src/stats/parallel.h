@@ -87,7 +87,7 @@ class CancellationToken {
 /// Thrown by parallel_for_indexed (and cooperative stall points) when an
 /// installed CancellationToken fires.
 struct Cancelled : std::runtime_error {
-  Cancelled() : std::runtime_error("cancelled by watchdog") {}
+  Cancelled() : std::runtime_error("cancelled: a cancellation token fired") {}
 };
 
 /// Install `token` for the lifetime of the guard, nested inside the scopes

@@ -489,6 +489,8 @@ TEST_F(DriverTest, OuterCancelReachesAnAttemptUnderItsOwnTimeout) {
   ASSERT_EQ(run.experiments.size(), 1u);
   EXPECT_EQ(run.experiments[0].error_class, "timeout") << out.str();
   EXPECT_EQ(run.experiments[0].attempts.size(), 1u) << out.str();
+  EXPECT_EQ(run.experiments[0].error.find("watchdog"), std::string::npos)
+      << run.experiments[0].error;
 }
 
 TEST_F(DriverTest, ExhaustedRetriesFailTheExperiment) {

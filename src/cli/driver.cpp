@@ -6,7 +6,6 @@
 #include <chrono>
 #include <exception>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 
@@ -122,26 +121,19 @@ void print_stage_table(const std::vector<stats::StageTimer::Stage>& stages,
   table.print(os);
 }
 
-bool write_text_file(const std::filesystem::path& path,
-                     std::string_view content) {
-  if (path.has_parent_path()) {
-    std::error_code ec;
-    std::filesystem::create_directories(path.parent_path(), ec);
-  }
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  out.write(content.data(), static_cast<std::streamsize>(content.size()));
-  return static_cast<bool>(out.flush());
-}
-
 void write_artifacts(const std::vector<Artifact>& artifacts,
                      const std::string& artifact_dir, std::ostream& out) {
+  if (artifacts.empty()) return;
   const std::filesystem::path dir =
       artifact_dir.empty() ? std::filesystem::path(".")
                            : std::filesystem::path(artifact_dir);
+  // write_file_atomic creates no directory; a failure here shows as the
+  // per-artifact warning below.
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
   for (const Artifact& artifact : artifacts) {
     const std::filesystem::path path = dir / artifact.name;
-    if (write_text_file(path, artifact.content))
+    if (cache::write_file_atomic(path, artifact.content))
       out << "wrote artifact " << path.string() << "\n";
     else
       out << "warning: could not write artifact " << path.string() << "\n";

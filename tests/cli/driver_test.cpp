@@ -204,6 +204,17 @@ TEST_F(DriverTest, ColdRunMissesThenWarmRunHitsByteIdentically) {
   EXPECT_EQ(first.experiments[0].key_hex, second.experiments[0].key_hex);
 }
 
+TEST_F(DriverTest, ArtifactLandsInADirectoryThatDoesNotExistYet) {
+  const ExperimentRegistry registry = toy_registry();
+  DriverOptions options = base_options();
+  options.experiments = "t2";
+  options.artifact_dir = (dir_ / "not" / "yet").string();
+  std::ostringstream out;
+  EXPECT_EQ(run_driver(registry, options, out).exit_code, 0) << out.str();
+  EXPECT_EQ(slurp(dir_ / "not" / "yet" / "t2_data.json"), "{\"v\":2}\n");
+  EXPECT_NE(out.str().find("wrote artifact"), std::string::npos) << out.str();
+}
+
 TEST_F(DriverTest, JsonExportIsByteIdenticalAcrossColdAndWarmRuns) {
   const ExperimentRegistry registry = toy_registry();
   DriverOptions options = base_options();

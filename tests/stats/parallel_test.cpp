@@ -149,6 +149,34 @@ TEST(ParallelExecutorTest, DefaultThreadCountIgnoresVdbenchThreadsAboveTheCap) {
     ::unsetenv("VDBENCH_THREADS");
 }
 
+TEST(ParallelExecutorTest, BackToBackCallsEachRunEveryIndexOnce) {
+  // Every call publishes a fresh job on the caller's stack right after the
+  // previous one returned; a worker that still held the old job would run
+  // an index twice or miss one.
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{7}}) {
+    ParallelExecutor exec(threads);
+    for (std::size_t call = 0; call < 2000; ++call) {
+      const std::size_t n = 1 + call % 5;
+      std::vector<std::atomic<int>> hits(n);
+      const bool fail = call % 3 == 0;
+      try {
+        exec.parallel_for_indexed(n, [&](std::size_t i) {
+          hits[i]++;
+          if (fail && i + 2 >= n) throw std::out_of_range(std::to_string(i));
+        });
+        EXPECT_FALSE(fail) << "call " << call << " threads=" << threads;
+      } catch (const std::out_of_range& e) {
+        EXPECT_TRUE(fail);
+        EXPECT_EQ(e.what(), std::to_string(n < 2 ? 0 : n - 2))
+            << "call " << call << " threads=" << threads;
+      }
+      for (std::size_t i = 0; i < n; ++i)
+        ASSERT_EQ(hits[i].load(), 1)
+            << "index " << i << " call " << call << " threads=" << threads;
+    }
+  }
+}
+
 TEST(GlobalExecutorTest, SetGlobalThreadsReplacesPool) {
   set_global_threads(2);
   EXPECT_EQ(global_executor().thread_count(), 2u);

@@ -1,9 +1,9 @@
-// Work-stealing scheduler tests (run under the tsan ctest label): the
-// deque-per-participant scheduler must preserve every contract of the
-// shared-counter scheduler it replaced — determinism at any thread count,
+// Scheduler tests (run under the tsan ctest label): the executor's one claim
+// counter must keep every contract — determinism at any thread count,
 // cooperative cancellation between claims, deterministic fault keys,
-// every-task-runs + lowest-index-error on failure — while actually
-// redistributing an imbalanced sweep.
+// every-task-runs + lowest-index-error on failure — while spreading an
+// imbalanced sweep over every free thread. The suite keeps the name of an
+// earlier work-stealing scheduler.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -24,8 +24,8 @@ constexpr std::size_t kThreadCounts[] = {1, 2, 7, 16};
 
 TEST(WorkStealingTest, ImbalancedSweepIsThreadCountInvariant) {
   // Task cost varies by two orders of magnitude across the range, so with
-  // more than one thread the cheap shards drain early and finish the sweep
-  // by stealing from the expensive one. The output must not care.
+  // more than one thread some threads run the expensive front while the
+  // others claim the cheap rest. The output must not care.
   const auto run_with = [](std::size_t threads) {
     ParallelExecutor exec(threads);
     Rng rng(987654);
@@ -34,7 +34,7 @@ TEST(WorkStealingTest, ImbalancedSweepIsThreadCountInvariant) {
     for (std::size_t i = 0; i < 96; ++i) children.push_back(rng.split(i));
     std::vector<double> out(96);
     exec.parallel_for_indexed(96, [&](std::size_t i) {
-      const int draws = i < 8 ? 4000 : 40;  // front shard is the heavy one
+      const int draws = i < 8 ? 4000 : 40;  // the front is the heavy part
       double acc = 0.0;
       for (int d = 0; d < draws; ++d) acc += children[i].uniform();
       out[i] = acc;
@@ -47,12 +47,11 @@ TEST(WorkStealingTest, ImbalancedSweepIsThreadCountInvariant) {
 }
 
 TEST(WorkStealingTest, IdleWorkersStealFromABlockedOwnersShard) {
-  // Task 0 (front of participant 0's chunk) blocks until the REST of that
-  // chunk has run. The owner is stuck inside task 0, so the only way the
-  // wait can succeed is other participants stealing tasks 1..3 from the
-  // back of the blocked shard.
+  // Task 0 blocks until tasks 1..3 have run. The thread that claimed task 0
+  // is stuck inside it, so the wait can succeed only if other threads claim
+  // tasks 1..3 meanwhile.
   ParallelExecutor exec(4);
-  constexpr std::size_t kTasks = 16;  // 4 per participant
+  constexpr std::size_t kTasks = 16;
   std::vector<std::atomic<int>> hits(kTasks);
   std::atomic<int> shard0_rest{0};
   std::atomic<bool> stolen_while_blocked{false};
@@ -81,7 +80,7 @@ TEST(WorkStealingTest, EveryTaskRunsAndLowestIndexErrorWinsUnderStealing) {
     try {
       exec.parallel_for_indexed(96, [&](std::size_t i) {
         hits[i]++;
-        if (i < 8)  // slow down the front shard so the tail gets stolen
+        if (i < 8)  // slow down the front so other threads claim the tail
           std::this_thread::sleep_for(std::chrono::microseconds(200));
         if (i == 90) throw std::runtime_error("late");
         if (i == 11) throw std::invalid_argument("early");
@@ -96,9 +95,9 @@ TEST(WorkStealingTest, EveryTaskRunsAndLowestIndexErrorWinsUnderStealing) {
 }
 
 TEST(WorkStealingTest, CancellationStopsStealingBetweenClaims) {
-  // Fire the token from inside a task while thieves are mid-sweep through
-  // a slow shard: workers must stop claiming (owned or stolen alike) and
-  // the fork-join call must surface Cancelled, not a partial success.
+  // Fire the token from inside a task while every thread is mid-sweep
+  // through slow tasks: workers must stop claiming and the fork-join call
+  // must surface Cancelled, not a partial success.
   ParallelExecutor exec(4);
   CancellationToken token;
   ScopedCancellationToken install(&token);
@@ -134,15 +133,15 @@ class WorkStealingFaultTest : public ::testing::Test {
 
 TEST_F(WorkStealingFaultTest, FaultKeyHitsTheSameTaskAtEveryThreadCount) {
   // The fault site key is the decimal task index — a property of the task,
-  // not of whichever shard or thief ran it. The blast radius must be the
-  // single keyed task regardless of how the range was partitioned.
+  // not of whichever thread ran it. The blast radius must be the single
+  // keyed task regardless of which thread claimed what.
   for (const std::size_t threads : kThreadCounts) {
     fault::Injector::global().arm("executor.task=throw@42:1");
     ParallelExecutor exec(threads);
     std::vector<std::atomic<int>> ran(96);
     try {
       exec.parallel_for_indexed(96, [&](std::size_t i) {
-        if (i < 8)  // imbalance so task 42 is frequently a stolen task
+        if (i < 8)  // imbalance so task 42 often runs on a worker
           std::this_thread::sleep_for(std::chrono::microseconds(200));
         ran[i]++;
       });

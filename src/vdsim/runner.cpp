@@ -1,7 +1,6 @@
 #include "vdsim/runner.h"
 
 #include <cmath>
-#include <unordered_set>
 
 #include "stats/hypothesis.h"
 
@@ -58,7 +57,15 @@ BenchmarkResult evaluate_report(const ToolReport& report,
   for (const VulnClass c : all_vuln_classes())
     result.by_class[vuln_class_index(c)].vuln_class = c;
 
-  std::unordered_set<std::uint64_t> matched_ids;
+  // One matched flag per seeded instance, at its position in the workload:
+  // its service's offset plus its index in Service::vulns. Ids are not keys:
+  // a hand-built workload may number them sparsely.
+  const std::vector<Service>& services = workload.services();
+  std::vector<std::size_t> offsets(services.size() + 1, 0);
+  for (std::size_t s = 0; s < services.size(); ++s)
+    offsets[s + 1] = offsets[s] + services[s].vulns.size();
+  std::vector<char> matched(offsets.back(), 0);
+  std::uint64_t tp = 0;
   std::vector<double> tp_confidences;
   std::vector<double> fp_confidences;
   std::uint64_t fp = 0;
@@ -66,7 +73,12 @@ BenchmarkResult evaluate_report(const ToolReport& report,
   for (const Finding& f : report.findings) {
     const VulnInstance* vuln = workload.vuln_at(f.service_index, f.site_index);
     if (vuln != nullptr && vuln->vuln_class == f.claimed_class) {
-      if (matched_ids.insert(vuln->id).second) {
+      char& flag = matched[offsets[f.service_index] +
+                           static_cast<std::size_t>(
+                               vuln - services[f.service_index].vulns.data())];
+      if (flag == 0) {
+        flag = 1;
+        ++tp;
         tp_confidences.push_back(f.confidence);
         ++result.by_class[vuln_class_index(vuln->vuln_class)].tp;
       } else {
@@ -81,15 +93,16 @@ BenchmarkResult evaluate_report(const ToolReport& report,
   }
 
   // Per-class misses: seeded instances never matched.
-  for (const Service& svc : workload.services()) {
+  std::size_t position = 0;
+  for (const Service& svc : services) {
     for (const VulnInstance& v : svc.vulns) {
-      if (!matched_ids.contains(v.id))
+      if (matched[position++] == 0)
         ++result.by_class[vuln_class_index(v.vuln_class)].fn;
     }
   }
 
   core::ConfusionMatrix cm;
-  cm.tp = matched_ids.size();
+  cm.tp = tp;
   cm.fp = fp;
   cm.fn = workload.total_vulns() - cm.tp;
   // TN frame: clean sites that attracted no (false) finding. False
@@ -101,7 +114,7 @@ BenchmarkResult evaluate_report(const ToolReport& report,
       workload.total_sites() - workload.total_vulns();
   cm.tn = clean_sites >= fp ? clean_sites - fp : 0;
 
-  result.matched_vulns = matched_ids.size();
+  result.matched_vulns = tp;
   result.context.cm = cm;
   result.context.cost_fn = costs.cost_fn;
   result.context.cost_fp = costs.cost_fp;

@@ -83,6 +83,70 @@ TEST(EvaluateReportTest, WrongClassIsFalsePositive) {
   EXPECT_EQ(r.misclassified_findings, 1u);
 }
 
+// Two hand-built services whose ids are sparse and out of order: service 0
+// seeds id 900 (SQLi at site 2); service 1 seeds id 7 (XSS at site 4) and
+// id 35 (path traversal at site 8). 20 sites, 3 of them vulnerable.
+Workload sparse_id_workload() {
+  const auto vuln = [](std::uint64_t id, std::size_t service,
+                       std::size_t site, VulnClass c) {
+    VulnInstance v;
+    v.id = id;
+    v.service_index = service;
+    v.site_index = site;
+    v.vuln_class = c;
+    return v;
+  };
+  Service first{"first", 1.0, 10, {}};
+  first.vulns.push_back(vuln(900, 0, 2, VulnClass::kSqlInjection));
+  Service second{"second", 1.0, 10, {}};
+  second.vulns.push_back(vuln(7, 1, 4, VulnClass::kXss));
+  second.vulns.push_back(vuln(35, 1, 8, VulnClass::kPathTraversal));
+  WorkloadSpec spec;
+  spec.num_services = 2;
+  return Workload(spec, {first, second});
+}
+
+TEST(EvaluateReportTest, MatchesEachInstanceOnceAcrossServicesWithSparseIds) {
+  const Workload w = sparse_id_workload();
+  const auto finding = [](std::size_t service, std::size_t site,
+                          VulnClass c) {
+    Finding f;
+    f.service_index = service;
+    f.site_index = site;
+    f.claimed_class = c;
+    f.confidence = 0.5;
+    return f;
+  };
+  ToolReport report;
+  report.tool_name = "sparse";
+  report.findings = {
+      finding(1, 4, VulnClass::kXss),           // TP on id 7
+      finding(1, 4, VulnClass::kXss),           // its duplicate
+      finding(0, 2, VulnClass::kXss),           // right site, wrong class
+      finding(1, 2, VulnClass::kSqlInjection),  // clean; id 900's in svc 0
+  };
+  const BenchmarkResult r = evaluate_report(report, w, CostModel{});
+  const core::ConfusionMatrix& cm = r.context.cm;
+  EXPECT_EQ(cm.tp, 1u);
+  EXPECT_EQ(cm.fp, 2u);
+  EXPECT_EQ(cm.fn, 2u);
+  EXPECT_EQ(cm.tn, 15u);  // 17 clean sites, 2 false alarms
+  EXPECT_EQ(r.matched_vulns, 1u);
+  EXPECT_EQ(r.duplicate_findings, 1u);
+  EXPECT_EQ(r.misclassified_findings, 1u);
+  const auto cls = [&](VulnClass c) -> const ClassOutcome& {
+    return r.by_class[vuln_class_index(c)];
+  };
+  EXPECT_EQ(cls(VulnClass::kXss).tp, 1u);
+  EXPECT_EQ(cls(VulnClass::kXss).fn, 0u);
+  EXPECT_EQ(cls(VulnClass::kSqlInjection).tp, 0u);
+  EXPECT_EQ(cls(VulnClass::kSqlInjection).fn, 1u);
+  EXPECT_EQ(cls(VulnClass::kPathTraversal).tp, 0u);
+  EXPECT_EQ(cls(VulnClass::kPathTraversal).fn, 1u);
+  EXPECT_EQ(cls(VulnClass::kXss).claimed_fp, 1u);
+  EXPECT_EQ(cls(VulnClass::kSqlInjection).claimed_fp, 1u);
+}
+
 TEST(EvaluateReportTest, CostModelPropagated) {
   const Workload w = test_workload(7);
   const ToolProfile t = builtin_tools()[1];

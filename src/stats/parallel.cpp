@@ -251,8 +251,10 @@ ParallelExecutor& global_executor() {
 }
 
 void set_global_threads(std::size_t threads) {
+  if (threads == 0) threads = ParallelExecutor::default_thread_count();
   std::lock_guard<std::mutex> lock(g_global_mutex);
-  g_global_executor = std::make_unique<ParallelExecutor>(threads);
+  if (!g_global_executor || g_global_executor->thread_count() != threads)
+    g_global_executor = std::make_unique<ParallelExecutor>(threads);
 }
 
 void parallel_for_indexed(std::size_t n,

@@ -169,8 +169,8 @@ class ParallelExecutor {
 [[nodiscard]] ParallelExecutor& global_executor();
 
 /// Replace the process-wide pool with one of the given size (0 = re-read the
-/// default). Intended for tests that verify thread-count invariance; must not
-/// race with concurrent parallel_for_indexed calls.
+/// default); a pool that already has that size is kept. Must not race with
+/// concurrent parallel_for_indexed calls.
 void set_global_threads(std::size_t threads);
 
 /// Convenience: parallel_for_indexed on the process-wide executor.

@@ -187,6 +187,19 @@ TEST(GlobalExecutorTest, SetGlobalThreadsReplacesPool) {
   EXPECT_GE(global_executor().thread_count(), 1u);
 }
 
+TEST(ParallelExecutorTest, SetGlobalThreadsKeepsAPoolOfTheSameSize) {
+  set_global_threads(2);
+  const ParallelExecutor* pool = &global_executor();
+  set_global_threads(2);
+  EXPECT_EQ(&global_executor(), pool);
+  set_global_threads(3);
+  EXPECT_EQ(global_executor().thread_count(), 3u);
+  set_global_threads(0);  // 0 is the default size, resolved before comparing
+  pool = &global_executor();
+  set_global_threads(ParallelExecutor::default_thread_count());
+  EXPECT_EQ(&global_executor(), pool);
+}
+
 // --- cooperative cancellation --------------------------------------------
 
 TEST(CancellationTest, NoTokenInstalledMeansNeverCancelled) {

@@ -38,10 +38,7 @@ void maybe_inject(const char* point, std::uint64_t chunk_index) {
 }
 
 // Generate the stream and feed the queue. Returns the chunk count.
-std::uint64_t generate_chunks(const StreamSpec& spec, ChunkQueue& queue,
-                              ReportLogWriter* record) {
-  if (record != nullptr) record->begin_segment(spec.total_sites);
-
+std::uint64_t generate_chunks(const StreamSpec& spec, ChunkQueue& queue) {
   std::uint64_t chunk_index = 0;
   ReportChunk chunk;
   chunk.records.reserve(spec.chunk_sites);
@@ -50,7 +47,6 @@ std::uint64_t generate_chunks(const StreamSpec& spec, ChunkQueue& queue,
   const auto flush = [&]() -> bool {
     const obs::Span span(obs::names::kStreamProduce, std::to_string(chunk_index));
     maybe_inject("stream.produce", chunk_index);
-    if (record != nullptr) record->append(chunk);
     const std::uint64_t next_first = chunk.first_site + chunk.records.size();
     if (!queue.push(std::move(chunk))) return false;
     obs::count(obs::Counter::kStreamChunksProduced);
@@ -124,15 +120,21 @@ std::uint64_t replay_chunks(const StreamSpec& spec, ChunkQueue& queue,
     obs::count(obs::Counter::kStreamChunksProduced);
     ++chunk_index;
   }
-  if (sites != spec.total_sites)
-    throw std::runtime_error("replay log: stream holds " +
-                             std::to_string(sites) + " sites, spec expects " +
-                             std::to_string(spec.total_sites));
+  if (sites != spec.total_sites) {
+    // The tag matched the spec, so the frames, not the spec, are short (a
+    // recording cut at a frame boundary) or long.
+    obs::count(obs::Counter::kLogCorruptions);
+    throw LogCorrupt("segment tagged " + std::to_string(spec.total_sites) +
+                     " sites holds " + std::to_string(sites));
+  }
   return chunk_index;
 }
 
-StreamResult consume_chunks(ChunkQueue& queue,
-                            std::vector<std::uint64_t> checkpoints) {
+// Fold the queue's chunks, appending each to `record` (when set) once it
+// is folded, so a failed recording ends on a whole frame.
+StreamResult consume_chunks(const StreamSpec& spec, ChunkQueue& queue,
+                            std::vector<std::uint64_t> checkpoints,
+                            ReportLogWriter* record) {
   std::sort(checkpoints.begin(), checkpoints.end());
   checkpoints.erase(std::unique(checkpoints.begin(), checkpoints.end()),
                     checkpoints.end());
@@ -143,6 +145,7 @@ StreamResult consume_chunks(ChunkQueue& queue,
     result.checkpoints.push_back({0, result.cm});
     ++next_cp;
   }
+  if (record != nullptr) record->begin_segment(spec.total_sites);
   while (std::optional<ReportChunk> chunk = queue.pop()) {
     const obs::Span span(obs::names::kStreamConsume, std::to_string(result.chunks));
     maybe_inject("stream.consume", result.chunks);
@@ -163,6 +166,7 @@ StreamResult consume_chunks(ChunkQueue& queue,
       accumulate(*chunk, result.cm);
       result.sites = end;
     }
+    if (record != nullptr) record->append(*chunk);
     ++result.chunks;
     obs::count(obs::Counter::kStreamChunksConsumed);
     obs::count(obs::Counter::kStreamSites, chunk->records.size());
@@ -223,7 +227,7 @@ StreamResult stream_evaluate(const StreamSpec& spec,
       if (io.replay != nullptr)
         replay_chunks(spec, queue, *io.replay);
       else
-        generate_chunks(spec, queue, io.record);
+        generate_chunks(spec, queue);
       queue.close();
     } catch (...) {
       queue.fail(std::current_exception());
@@ -233,8 +237,9 @@ StreamResult stream_evaluate(const StreamSpec& spec,
   StreamResult result;
   try {
     result = consume_chunks(
-        queue, std::vector<std::uint64_t>(checkpoints.begin(),
-                                          checkpoints.end()));
+        spec, queue,
+        std::vector<std::uint64_t>(checkpoints.begin(), checkpoints.end()),
+        io.record);
   } catch (...) {
     queue.abandon();
     producer.join();

@@ -11,7 +11,9 @@
 //   ---------------            ------------------          -----------------
 //   per-service RNG  ──chunk──▶ backpressure, cancel ──▶   fold into
 //   sites + verdicts            (chunk_queue.h)            ConfusionMatrix,
-//                                                          checkpoint snaps
+//                                                          checkpoint snaps,
+//                                                          then append to the
+//                                                          log when recording
 //
 // Determinism: each service draws from its own RNG seeded by
 // service_seed(stream_seed, service_index) — order-independent and
@@ -20,10 +22,14 @@
 // streamed pass with checkpoints therefore IS the whole workload-size
 // sweep (experiment E18).
 //
-// Record/replay: pass StreamIo.record to append every produced chunk to a
-// ReportLogWriter, or StreamIo.replay to source chunks from a recorded log
-// instead of generating them. A replayed stream is byte-identical to the
-// recorded one regardless of platform, compiler or thread count.
+// Record/replay: pass StreamIo.record to have the consumer append each
+// chunk to a ReportLogWriter once it has folded it, or StreamIo.replay to
+// source chunks from a recorded log instead of generating them. The queue
+// is FIFO, so the log holds the chunks in stream order, and a recording
+// that fails mid-stream is a whole-frame prefix, which replay rejects as
+// LogCorrupt (its frames hold fewer sites than its segment tag). A replayed
+// stream is byte-identical to the recorded one regardless of platform,
+// compiler or thread count.
 //
 // Fault points "stream.produce" / "stream.consume" (key = decimal chunk
 // index) fire per chunk with the standard action set; cancellation is
@@ -101,8 +107,9 @@ struct StreamIo {
 /// injected stream.produce faults and replay-log corruption — propagate to
 /// the caller with their original type. Throws stats::Cancelled when the
 /// installed cancellation token fires mid-stream, std::invalid_argument on
-/// a bad spec or when both StreamIo endpoints are set, and
-/// std::runtime_error when a replay log does not match the spec.
+/// a bad spec or when both StreamIo endpoints are set, std::runtime_error
+/// when a replay log's segment tag does not match the spec, and LogCorrupt
+/// when the segment's chunks do not hold the sites its tag declares.
 [[nodiscard]] StreamResult stream_evaluate(
     const StreamSpec& spec, std::span<const std::uint64_t> checkpoints = {},
     const StreamIo& io = {});

@@ -13,67 +13,15 @@
 
 #include "cli/experiment.h"
 #include "corpus/synthetic.h"
+#include "obs/names.h"
 #include "stream/pipeline.h"
 #include "vdsim/workload.h"
 
 namespace vdbench::bench {
 
-/// Canonical StageTimer phase names. Every experiment records its phases
-/// under these constants (never ad-hoc literals), so the driver's stage
-/// tables, the run manifest's per-experiment stages and --trace-out span
-/// names all agree on spelling. Names ending in `Prefix` are completed with
-/// a parameter at the call site. kAllNames and kAllPrefixes list them all,
-/// so the golden trace test enumerates the legal span-name set from one
-/// place.
-namespace stage {
-inline constexpr const char* kCatalogue = "catalogue";              // e1
-inline constexpr const char* kStage1Assessment = "stage 1 assessment";
-inline constexpr const char* kStage2Prefix = "stage 2: ";           // + key
-inline constexpr const char* kStage2Validation = "stage 2 + validation";
-inline constexpr const char* kPrevalenceSweep = "prevalence sweep";  // e3
-inline constexpr const char* kGridPrevalencePrefix = "grid prevalence=";
-inline constexpr const char* kGenerateWorkload = "generate workload";
-inline constexpr const char* kGenerateWorkloads = "generate workloads";
-inline constexpr const char* kBenchmarkTools = "benchmark tools";    // e5
-inline constexpr const char* kBenchmarkAggregate = "benchmark + aggregate";
-inline constexpr const char* kAgreementMatrix = "agreement matrix";  // e6
-inline constexpr const char* kNoiseSweep = "noise sweep";            // e9
-inline constexpr const char* kMethodAblation = "method ablation";    // e9
-inline constexpr const char* kRocSweep = "ROC sweep";                // e11
-inline constexpr const char* kSuiteCampaign = "suite campaign";      // e13
-inline constexpr const char* kWeightSensitivity = "weight sensitivity";
-inline constexpr const char* kPresetSummary = "preset summary";      // e14
-inline constexpr const char* kPerClassDetail = "per-class detail";   // e14
-inline constexpr const char* kPairAnalysisPrefix = "pair analysis gamma=";
-inline constexpr const char* kPowerGridPrefix = "power grid R=";     // e16
-inline constexpr const char* kRender = "render";                     // e16
-inline constexpr const char* kBaseCorpusCohort = "base corpus cohort";
-inline constexpr const char* kLowPrevalenceCohort = "low-prevalence cohort";
-inline constexpr const char* kChecksum = "checksum";                 // probe
-inline constexpr const char* kStreamEvaluate = "stream evaluate";    // e18
-inline constexpr const char* kStreamMetrics = "checkpoint metrics";  // e18
-inline constexpr const char* kCorpusSynthesize = "synthesize corpora";  // e19
-inline constexpr const char* kCorpusIntake = "corpus intake";        // e19
-inline constexpr const char* kCorpusRankings = "corpus rankings";    // e19
-inline constexpr const char* kCorpusExternal = "external corpus";    // e19
-
-/// Every exact stage name above, in declaration order.
-inline constexpr const char* kAllNames[] = {
-    kCatalogue,           kStage1Assessment,   kStage2Validation,
-    kPrevalenceSweep,     kGenerateWorkload,   kGenerateWorkloads,
-    kBenchmarkTools,      kBenchmarkAggregate, kAgreementMatrix,
-    kNoiseSweep,          kMethodAblation,     kRocSweep,
-    kSuiteCampaign,       kWeightSensitivity,  kPresetSummary,
-    kPerClassDetail,      kRender,             kBaseCorpusCohort,
-    kLowPrevalenceCohort, kChecksum,           kStreamEvaluate,
-    kStreamMetrics,       kCorpusSynthesize,   kCorpusIntake,
-    kCorpusRankings,      kCorpusExternal};
-
-/// Every `…Prefix` name above; a phase label that starts with one is legal.
-inline constexpr const char* kAllPrefixes[] = {
-    kStage2Prefix, kGridPrevalencePrefix, kPairAnalysisPrefix,
-    kPowerGridPrefix};
-}  // namespace stage
+/// Experiment phase names. The constants live in obs/names.h beside the
+/// span names, so one header holds every span and phase name.
+namespace stage = obs::names::stage;
 
 void register_e1(cli::ExperimentRegistry& registry);
 void register_e2(cli::ExperimentRegistry& registry);

@@ -86,10 +86,9 @@ std::string display_for(const std::filesystem::path& path,
 
 std::vector<Finding> analyze_source(const std::string& display_path,
                                     std::string_view source,
-                                    const NameTables& names,
                                     const RuleRegistry& registry) {
   const std::vector<CppToken> tokens = scan_cpp(source);
-  const LintContext context{display_path, tokens, names};
+  const LintContext context{display_path, tokens};
   std::vector<Finding> findings = registry.apply(context);
 
   std::vector<Suppression> suppressions = parse_suppressions(tokens);
@@ -122,13 +121,12 @@ std::vector<Finding> analyze_source(const std::string& display_path,
 
 std::vector<Finding> analyze_file(const std::filesystem::path& path,
                                   const std::string& display_path,
-                                  const NameTables& names,
                                   const RuleRegistry& registry) {
   std::ifstream in(path, std::ios::binary);
   if (!in)
     throw std::runtime_error("vdlint: cannot read " + path.string());
   const std::string source{std::istreambuf_iterator<char>(in), {}};
-  return analyze_source(display_path, source, names, registry);
+  return analyze_source(display_path, source, registry);
 }
 
 std::vector<SourceFile> collect_files(const std::filesystem::path& root,

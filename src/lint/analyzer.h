@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "lint/finding.h"
-#include "lint/names.h"
 #include "lint/rules.h"
 
 namespace vdbench::lint {
@@ -26,13 +25,13 @@ namespace vdbench::lint {
 /// Returns the surviving findings (suppressions applied), sorted.
 [[nodiscard]] std::vector<Finding> analyze_source(
     const std::string& display_path, std::string_view source,
-    const NameTables& names, const RuleRegistry& registry);
+    const RuleRegistry& registry);
 
 /// analyze_source over a file's bytes. Throws std::runtime_error when the
 /// file cannot be read.
 [[nodiscard]] std::vector<Finding> analyze_file(
     const std::filesystem::path& path, const std::string& display_path,
-    const NameTables& names, const RuleRegistry& registry);
+    const RuleRegistry& registry);
 
 struct SourceFile {
   std::filesystem::path path;  ///< as opened

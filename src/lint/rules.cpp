@@ -1,8 +1,12 @@
 #include "lint/rules.h"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 #include <string_view>
+
+#include "fault/injector.h"
+#include "obs/names.h"
 
 namespace vdbench::lint {
 namespace {
@@ -141,6 +145,11 @@ void check_wallclock_now(const RuleMeta& rule, const LintContext& ctx,
 
 // --- registry-backed spelling rules --------------------------------------
 
+/// True when `text` is one of the compiled table's names.
+bool listed(std::span<const char* const> table, std::string_view text) {
+  return std::find(table.begin(), table.end(), text) != table.end();
+}
+
 void check_span_name(const RuleMeta& rule, const LintContext& ctx,
                      std::vector<Finding>& out) {
   const auto code = code_tokens(ctx);
@@ -177,7 +186,7 @@ void check_span_name(const RuleMeta& rule, const LintContext& ctx,
       } else if (is_punct(token, ",") && depth == 1) {
         break;
       } else if (token.type == CppTokenType::kString && depth == 1 &&
-                 !ctx.names.span_names.contains(token.text)) {
+                 !listed(obs::names::kAllSpans, token.text)) {
         report(out, ctx, token, rule,
                "span name \"" + token.text +
                    "\" is not registered in src/obs/names.h; use the "
@@ -195,7 +204,7 @@ void check_fault_point(const RuleMeta& rule, const LintContext& ctx,
     if (!is_punct(*code[i + 1], "(")) continue;
     const CppToken& arg = *code[i + 2];
     if (arg.type != CppTokenType::kString) continue;
-    if (ctx.names.fault_points.contains(arg.text)) continue;
+    if (listed(fault::kKnownPoints, arg.text)) continue;
     report(out, ctx, arg, rule,
            "fault point \"" + arg.text +
                "\" is not in fault::kKnownPoints (src/fault/injector.h); "
@@ -205,14 +214,14 @@ void check_fault_point(const RuleMeta& rule, const LintContext& ctx,
 
 void check_stage_literal(const RuleMeta& rule, const LintContext& ctx,
                          std::vector<Finding>& out) {
-  if (path_is(ctx, "bench/experiments.h")) return;
+  if (path_is(ctx, "src/obs/names.h")) return;
   for (const CppToken& token : ctx.tokens) {
     if (token.type != CppTokenType::kString) continue;
-    bool hit = ctx.names.stage_names.contains(token.text);
-    for (const std::string& prefix : ctx.names.stage_prefixes) {
+    bool hit = listed(obs::names::stage::kAllNames, token.text);
+    for (const std::string_view prefix : obs::names::stage::kAllPrefixes) {
       if (hit) break;
       hit = token.text.size() > prefix.size() &&
-            token.text.compare(0, prefix.size(), prefix) == 0;
+            token.text.starts_with(prefix);
     }
     if (!hit) continue;
     report(out, ctx, token, rule,

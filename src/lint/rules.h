@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "lint/finding.h"
-#include "lint/names.h"
 #include "lint/scanner.h"
 
 namespace vdbench::lint {
@@ -30,7 +29,6 @@ inline constexpr const char* kUnusedSuppressionRule = "vdl-unused-suppression";
 struct LintContext {
   std::string file;
   const std::vector<CppToken>& tokens;
-  const NameTables& names;
 };
 
 struct LintRule {

@@ -4,11 +4,11 @@
 //
 // Lints the repo's own C++ sources against the contract rules in
 // lint/rules.cpp. Paths default to `src bench tests` under --root (default:
-// the current directory, which must be the repo root so the name-table
-// headers resolve). Exit status: 0 clean, 1 findings, 2 usage or I/O error.
+// the current directory). Findings name files relative to --root, and the
+// rules' path exemptions match those names, so lint from the repo root.
+// Exit status: 0 clean, 1 findings, 2 usage or I/O error.
 #include <cstdlib>
 #include <exception>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <iterator>
@@ -89,14 +89,13 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    const std::filesystem::path root(options.root);
-    const NameTables names = load_name_tables(root);
-    const std::vector<SourceFile> files = collect_files(root, options.paths);
+    const std::vector<SourceFile> files =
+        collect_files(options.root, options.paths);
 
     std::vector<Finding> findings;
     for (const SourceFile& file : files) {
       std::vector<Finding> file_findings =
-          analyze_file(file.path, file.display, names, registry);
+          analyze_file(file.path, file.display, registry);
       findings.insert(findings.end(),
                       std::make_move_iterator(file_findings.begin()),
                       std::make_move_iterator(file_findings.end()));

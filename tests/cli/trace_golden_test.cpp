@@ -2,10 +2,10 @@
 // probe and E19) through the driver, then validates the emitted
 // Chrome/Perfetto trace — schema (ph/ts/pid/tid on every event), balanced
 // B/E pairs per thread, and every span name drawn from the documented set
-// (obs/names.h kAllSpans plus the stage:: kAllNames/kAllPrefixes tables in
-// bench/experiments.h). Also pins the manifest telemetry block's counter
-// inventory, the warm/cold byte-identity of --json-out with telemetry
-// present, and that the manifest's durations are the trace's.
+// (obs/names.h kAllSpans plus its stage:: kAllNames/kAllPrefixes tables).
+// Also pins the manifest telemetry block's counter inventory, the warm/cold
+// byte-identity of --json-out with telemetry present, and that the
+// manifest's durations are the trace's.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -69,12 +69,12 @@ bool is_documented_name(const std::string& name) {
   static const std::set<std::string> kExact = [] {
     std::set<std::string> exact(std::begin(obs::names::kAllSpans),
                                 std::end(obs::names::kAllSpans));
-    exact.insert(std::begin(bench::stage::kAllNames),
-                 std::end(bench::stage::kAllNames));
+    exact.insert(std::begin(obs::names::stage::kAllNames),
+                 std::end(obs::names::stage::kAllNames));
     return exact;
   }();
   if (kExact.contains(name)) return true;
-  for (const std::string_view prefix : bench::stage::kAllPrefixes)
+  for (const std::string_view prefix : obs::names::stage::kAllPrefixes)
     if (name.starts_with(prefix)) return true;
   return false;
 }

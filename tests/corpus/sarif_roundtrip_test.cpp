@@ -13,7 +13,6 @@
 #include "corpus/sarif.h"
 #include "corpus/synthetic.h"
 #include "lint/analyzer.h"
-#include "lint/names.h"
 #include "lint/output.h"
 #include "lint/rules.h"
 
@@ -31,13 +30,12 @@ std::string slurp(const fs::path& path) {
 
 // Analyze the lint fixtures exactly as the golden test does.
 std::vector<lint::Finding> fixture_findings(const lint::RuleRegistry& registry) {
-  const lint::NameTables tables = lint::load_name_tables(kRepoRoot);
   const std::vector<lint::SourceFile> files =
       lint::collect_files(kRepoRoot, {"tests/lint/fixtures"});
   std::vector<lint::Finding> findings;
   for (const lint::SourceFile& file : files) {
     std::vector<lint::Finding> f =
-        lint::analyze_file(file.path, file.display, tables, registry);
+        lint::analyze_file(file.path, file.display, registry);
     findings.insert(findings.end(), f.begin(), f.end());
   }
   return findings;

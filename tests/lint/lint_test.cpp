@@ -4,18 +4,18 @@
 // lint clean — the same invariant CI's lint-self job enforces).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
-#include <set>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "experiments.h"
 #include "lint/analyzer.h"
-#include "lint/names.h"
 #include "lint/output.h"
 #include "lint/rules.h"
 #include "lint/scanner.h"
+#include "obs/names.h"
 
 namespace vdbench::lint {
 namespace {
@@ -96,31 +96,35 @@ TEST(CppScannerTest, UnterminatedLiteralsAndCommentsEndAtEofWithoutThrow) {
 
 // --- name tables ---------------------------------------------------------
 
-TEST(NameTablesTest, ParsesTheThreeDefiningHeaders) {
-  const NameTables tables = load_name_tables(kRepoRoot);
-  EXPECT_TRUE(tables.span_names.contains("driver.experiment"));
-  EXPECT_TRUE(tables.span_names.contains("fault.fire"));
-  EXPECT_GE(tables.span_names.size(), 19u);
-  EXPECT_TRUE(tables.fault_points.contains("cache.read"));
-  EXPECT_TRUE(tables.fault_points.contains("stream.consume"));
-  EXPECT_TRUE(tables.fault_points.contains("net.read"));
-  EXPECT_TRUE(tables.fault_points.contains("net.frame"));
-  EXPECT_TRUE(tables.fault_points.contains("corpus.read"));
-  EXPECT_EQ(tables.fault_points.size(), 12u);
-  // Compare against the compiled tables: the runtime parse of
-  // bench/experiments.h must find exactly the names kAllNames and
-  // kAllPrefixes list, so a stage constant missing from them fails here.
-  EXPECT_EQ(tables.stage_names,
-            std::set<std::string>(std::begin(bench::stage::kAllNames),
-                                  std::end(bench::stage::kAllNames)));
-  EXPECT_EQ(tables.stage_prefixes,
-            std::vector<std::string>(std::begin(bench::stage::kAllPrefixes),
-                                     std::end(bench::stage::kAllPrefixes)));
-}
-
-TEST(NameTablesTest, MissingRootIsAHardError) {
-  EXPECT_THROW(load_name_tables(kRepoRoot / "no-such-dir"),
-               std::runtime_error);
+// vdlint looks span and stage names up in obs/names.h's compiled tables, so
+// a label constant left out of them would go unenforced. Every
+// `k... = "..."` constant in that header must sit in exactly one table, and
+// the tables must hold nothing else.
+TEST(NameTablesTest, EveryObsNamesConstantIsInExactlyOneTable) {
+  namespace names = obs::names;
+  const std::vector<CppToken> tokens =
+      scan_cpp(slurp(kRepoRoot / "src" / "obs" / "names.h"));
+  const auto occurrences = [](std::span<const char* const> table,
+                              const std::string& value) {
+    return std::count(table.begin(), table.end(), value);
+  };
+  std::size_t constants = 0;
+  for (std::size_t i = 0; i + 2 < tokens.size(); ++i) {
+    if (tokens[i].type != CppTokenType::kIdentifier ||
+        !tokens[i].text.starts_with("k") || tokens[i + 1].text != "=" ||
+        tokens[i + 2].type != CppTokenType::kString)
+      continue;
+    ++constants;
+    const std::string& value = tokens[i + 2].text;
+    EXPECT_EQ(occurrences(names::kAllSpans, value) +
+                  occurrences(names::stage::kAllNames, value) +
+                  occurrences(names::stage::kAllPrefixes, value),
+              1)
+        << tokens[i].text << " = \"" << value << "\"";
+  }
+  EXPECT_EQ(constants, std::size(names::kAllSpans) +
+                           std::size(names::stage::kAllNames) +
+                           std::size(names::stage::kAllPrefixes));
 }
 
 // --- rule registry -------------------------------------------------------
@@ -171,11 +175,10 @@ const FixtureCase kFixtureCases[] = {
 };
 
 std::vector<Finding> analyze_fixture(const std::string& name) {
-  static const NameTables tables = load_name_tables(kRepoRoot);
   static const RuleRegistry registry = RuleRegistry::default_rules();
   const std::string display = "tests/lint/fixtures/" + name;
   return analyze_file(kRepoRoot / "tests" / "lint" / "fixtures" / name,
-                      display, tables, registry);
+                      display, registry);
 }
 
 class FixtureRuleTest : public ::testing::TestWithParam<FixtureCase> {};
@@ -223,9 +226,8 @@ INSTANTIATE_TEST_SUITE_P(
 class SuppressionTest : public ::testing::Test {
  protected:
   std::vector<Finding> analyze(std::string_view source) {
-    return analyze_source("src/example.cpp", source, tables_, registry_);
+    return analyze_source("src/example.cpp", source, registry_);
   }
-  const NameTables tables_ = load_name_tables(kRepoRoot);
   const RuleRegistry registry_ = RuleRegistry::default_rules();
 };
 
@@ -267,7 +269,6 @@ TEST_F(SuppressionTest, UnusedSuppressionCannotItselfBeSuppressed) {
 // --- output --------------------------------------------------------------
 
 TEST(OutputTest, SarifGoldenMatchesAndRendersDeterministically) {
-  const NameTables tables = load_name_tables(kRepoRoot);
   const RuleRegistry registry = RuleRegistry::default_rules();
   const std::vector<SourceFile> files =
       collect_files(kRepoRoot, {"tests/lint/fixtures"});
@@ -275,7 +276,7 @@ TEST(OutputTest, SarifGoldenMatchesAndRendersDeterministically) {
   std::vector<Finding> findings;
   for (const SourceFile& file : files) {
     std::vector<Finding> f =
-        analyze_file(file.path, file.display, tables, registry);
+        analyze_file(file.path, file.display, registry);
     findings.insert(findings.end(), f.begin(), f.end());
   }
   const std::string sarif = render_sarif(findings, registry);
@@ -314,7 +315,6 @@ TEST(CollectFilesTest, DefaultScanSkipsFixturesAndSortsDeterministically) {
 }
 
 TEST(SelfScanTest, RepositorySourcesLintClean) {
-  const NameTables tables = load_name_tables(kRepoRoot);
   const RuleRegistry registry = RuleRegistry::default_rules();
   const std::vector<SourceFile> files =
       collect_files(kRepoRoot, {"src", "bench", "tests"});
@@ -322,7 +322,7 @@ TEST(SelfScanTest, RepositorySourcesLintClean) {
   std::vector<Finding> findings;
   for (const SourceFile& file : files) {
     std::vector<Finding> f =
-        analyze_file(file.path, file.display, tables, registry);
+        analyze_file(file.path, file.display, registry);
     findings.insert(findings.end(), f.begin(), f.end());
   }
   EXPECT_TRUE(findings.empty()) << render_human(findings);

@@ -18,11 +18,10 @@
 // real report (CI uses the vdlint SARIF golden) through the identical
 // path, appended as an extra section; the files' digests join the cache
 // key, so the base experiment stays cacheable.
-#include <cmath>
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/metrics.h"
@@ -32,6 +31,7 @@
 #include "mcda/aggregate.h"
 #include "report/json.h"
 #include "report/table.h"
+#include "stats/rank.h"
 #include "study_common.h"
 #include "vdsim/tool.h"
 
@@ -95,26 +95,6 @@ struct EcosystemScore {
   core::ConfusionMatrix cm;
   corpus::MatchStats stats;  ///< whole-corpus stats (same for every eco)
 };
-
-// Best-first tool ordering under one metric (utility descending, ties by
-// tool index — deterministic).
-std::vector<std::size_t> rank_tools(const std::vector<double>& utilities) {
-  std::vector<std::size_t> order(utilities.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  for (std::size_t i = 1; i < order.size(); ++i) {
-    std::size_t j = i;
-    while (j > 0) {
-      const double a = utilities[order[j - 1]];
-      const double b = utilities[order[j]];
-      // NaN (undefined metric) sorts last; otherwise higher utility first.
-      const bool swap_down = std::isnan(a) ? !std::isnan(b) : b > a;
-      if (!swap_down) break;
-      std::swap(order[j - 1], order[j]);
-      --j;
-    }
-  }
-  return order;
-}
 
 void run_e19(cli::ExperimentContext& ctx) {
   const std::vector<corpus::SyntheticCorpusSpec> specs = e19_corpus_specs();
@@ -230,7 +210,7 @@ void run_e19(cli::ExperimentContext& ctx) {
 
       rankings[e].reserve(kRankingMetrics.size());
       for (std::size_t m = 0; m < kRankingMetrics.size(); ++m)
-        rankings[e].push_back(rank_tools(utilities[m]));
+        rankings[e].push_back(stats::order_descending(utilities[m]));
     }
     json.end_array();
 
@@ -269,7 +249,7 @@ void run_e19(cli::ExperimentContext& ctx) {
     for (std::size_t e = 0; e < ecosystems; ++e) {
       const std::vector<double> borda = mcda::borda_scores(rankings[e]);
       const std::vector<std::size_t> consensus =
-          mcda::ranking_from_scores(borda);
+          stats::order_descending(borda);
       ctx.out << "consensus (Borda) in " << manifest.ecosystems[e].name
               << ":";
       for (const std::size_t t : consensus) ctx.out << " " << tools[t].name;

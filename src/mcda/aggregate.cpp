@@ -1,7 +1,5 @@
 #include "mcda/aggregate.h"
 
-#include <algorithm>
-#include <numeric>
 #include <stdexcept>
 
 namespace vdbench::mcda {
@@ -45,16 +43,6 @@ std::vector<double> borda_scores(
       scores[alt] += static_cast<double>(n - 1 - pos[alt]);
   }
   return scores;
-}
-
-std::vector<std::size_t> ranking_from_scores(std::span<const double> scores) {
-  std::vector<std::size_t> order(scores.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return scores[a] > scores[b];
-                   });
-  return order;
 }
 
 double kendall_distance(std::span<const std::size_t> a,

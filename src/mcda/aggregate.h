@@ -18,10 +18,6 @@ namespace vdbench::mcda {
 [[nodiscard]] std::vector<double> borda_scores(
     std::span<const std::vector<std::size_t>> rankings);
 
-/// Consensus ranking (best-first) from scores; ties broken by lower index.
-[[nodiscard]] std::vector<std::size_t> ranking_from_scores(
-    std::span<const double> scores);
-
 /// Kendall distance between two rankings: the number of discordant pairs,
 /// normalised by n*(n-1)/2 into [0, 1] (0 = identical, 1 = reversed).
 [[nodiscard]] double kendall_distance(std::span<const std::size_t> a,

@@ -4,6 +4,7 @@
 
 #include "mcda/aggregate.h"
 #include "mcda/weighted_sum.h"
+#include "stats/rank.h"
 
 namespace vdbench::mcda {
 
@@ -18,7 +19,7 @@ SensitivityResult weight_sensitivity(const stats::Matrix& scores,
   const std::vector<double> baseline_scores =
       weighted_sum_scores(scores, weights);
   const std::vector<std::size_t> baseline_ranking =
-      ranking_from_scores(baseline_scores);
+      stats::order_descending(baseline_scores);
   const std::size_t baseline_top = baseline_ranking.front();
 
   SensitivityResult result;
@@ -31,7 +32,7 @@ SensitivityResult weight_sensitivity(const stats::Matrix& scores,
     for (std::size_t c = 0; c < perturbed.size(); ++c)
       perturbed[c] = weights[c] * rng.lognormal(0.0, perturbation);
     const std::vector<double> s = weighted_sum_scores(scores, perturbed);
-    const std::vector<std::size_t> ranking = ranking_from_scores(s);
+    const std::vector<std::size_t> ranking = stats::order_descending(s);
     if (ranking.front() == baseline_top) ++stable;
     result.win_share[ranking.front()] += 1.0;
     distance_acc += kendall_distance(baseline_ranking, ranking);

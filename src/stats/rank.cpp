@@ -11,10 +11,8 @@ namespace vdbench::stats {
 
 namespace {
 
-// NaN (and ±inf with raw </> comparators) breaks the strict weak ordering
-// std::stable_sort requires and poisons every pairwise comparison, so all
-// ranking entry points reject non-finite input up front instead of
-// returning an unspecified ordering.
+// The agreement measures reject non-finite input up front: a NaN has no
+// rank to agree on, and inf - inf in a pair difference is NaN.
 void require_finite(std::span<const double> xs, const char* who) {
   for (const double x : xs)
     if (!std::isfinite(x))
@@ -36,11 +34,15 @@ void require_paired(std::span<const double> xs, std::span<const double> ys,
 }  // namespace
 
 std::vector<std::size_t> order_descending(std::span<const double> xs) {
-  require_finite(xs, "order_descending");
   std::vector<std::size_t> order(xs.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
+  // A raw > is no strict weak order once a NaN is present (NaN compares
+  // false both ways), so NaN is placed explicitly: after every number.
   std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) { return xs[a] > xs[b]; });
+                   [&](std::size_t a, std::size_t b) {
+                     if (std::isnan(xs[b])) return !std::isnan(xs[a]);
+                     return xs[a] > xs[b];
+                   });
   return order;
 }
 

@@ -12,9 +12,9 @@
 
 namespace vdbench::stats {
 
-/// Ordering of indices that sorts xs descending (best-first for
-/// higher-is-better scores). Stable: ties keep input order.
-/// Throws std::invalid_argument on non-finite input.
+/// Best-first ordering of indices: xs descending, every NaN after every
+/// number (±inf included), and ties, NaNs among them, in index order. This
+/// is the one ranking rule; an undefined score (NaN) ranks last.
 std::vector<std::size_t> order_descending(std::span<const double> xs);
 
 /// Kendall's tau-b rank correlation (tie-aware).

@@ -1,12 +1,13 @@
 #include "vdsim/benchmark.h"
 
 #include <algorithm>
-#include <cmath>
 #include <iomanip>
 #include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+
+#include "stats/rank.h"
 
 namespace vdbench::vdsim {
 
@@ -69,7 +70,6 @@ BenchmarkReport execute_benchmark(const BenchmarkDefinition& definition,
   report.suite = run_suite(tools, metrics, definition.protocol, rng);
 
   // Rank by primary-metric utility (direction-aware).
-  std::vector<std::size_t> order(tools.size());
   std::vector<double> utility(tools.size());
   for (std::size_t t = 0; t < tools.size(); ++t) {
     const MetricEstimate& est =
@@ -79,15 +79,7 @@ BenchmarkReport execute_benchmark(const BenchmarkDefinition& definition,
                            : est.ci.estimate;
     utility[t] = core::metric_utility(definition.primary_metric, mean);
   }
-  for (std::size_t t = 0; t < tools.size(); ++t) order[t] = t;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     const bool da = std::isfinite(utility[a]);
-                     const bool db = std::isfinite(utility[b]);
-                     if (da != db) return da;
-                     if (!da) return false;
-                     return utility[a] > utility[b];
-                   });
+  const std::vector<std::size_t> order = stats::order_descending(utility);
 
   // Pairwise significance lookup on the primary metric.
   const auto significant = [&](std::size_t i, std::size_t j) {

@@ -1,8 +1,6 @@
 #include "vdsim/campaign.h"
 
-#include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <stdexcept>
 
 #include "stats/parallel.h"
@@ -18,17 +16,7 @@ std::vector<std::size_t> rank_tools_by_metric(
   std::vector<double> utilities(results.size());
   for (std::size_t i = 0; i < results.size(); ++i)
     utilities[i] = core::metric_utility(metric, results[i].metric(metric));
-  std::vector<std::size_t> order(results.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     const bool da = std::isfinite(utilities[a]);
-                     const bool db = std::isfinite(utilities[b]);
-                     if (da != db) return da;  // defined before undefined
-                     if (!da) return false;
-                     return utilities[a] > utilities[b];
-                   });
-  return order;
+  return stats::order_descending(utilities);
 }
 
 AgreementMatrix metric_agreement(const std::vector<core::MetricId>& metrics,

@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "stats/rank.h"
+
 namespace vdbench::mcda {
 namespace {
 
@@ -32,12 +34,6 @@ TEST(BordaTest, RejectsNonPermutation) {
   EXPECT_THROW(borda_scores(out_of_range), std::invalid_argument);
   EXPECT_THROW(borda_scores(mismatch), std::invalid_argument);
   EXPECT_THROW(borda_scores(std::vector<Ranking>{}), std::invalid_argument);
-}
-
-TEST(RankingFromScoresTest, DescendingWithStableTies) {
-  const std::vector<double> scores = {1.0, 3.0, 3.0, 0.5};
-  const Ranking expected = {1, 2, 0, 3};
-  EXPECT_EQ(ranking_from_scores(scores), expected);
 }
 
 TEST(KendallDistanceTest, IdenticalIsZero) {
@@ -72,7 +68,7 @@ TEST(AggregationPipelineTest, BordaConsensusOfNoisyCopies) {
   // Three near-copies of the same order must aggregate back to it.
   const std::vector<Ranking> rankings = {
       {0, 1, 2, 3, 4}, {0, 2, 1, 3, 4}, {1, 0, 2, 3, 4}};
-  const Ranking consensus = ranking_from_scores(borda_scores(rankings));
+  const Ranking consensus = stats::order_descending(borda_scores(rankings));
   EXPECT_EQ(consensus, (Ranking{0, 1, 2, 3, 4}));
 }
 

@@ -16,6 +16,28 @@ TEST(RankTest, OrderDescendingStableOnTies) {
   EXPECT_EQ(order_descending(xs), expected);
 }
 
+// The one best-first rule: descending, NaN after every number (±inf
+// included), ties and NaNs in index order.
+TEST(RankTest, OrderDescendingRuleTable) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const struct {
+    std::vector<double> xs;
+    std::vector<std::size_t> expected;
+  } cases[] = {
+      {{}, {}},
+      {{1.0, 3.0, 3.0, 0.5}, {1, 2, 0, 3}},
+      {{2.0, 2.0, 2.0}, {0, 1, 2}},
+      {{nan, 1.0, nan, 3.0, 1.0}, {3, 1, 4, 0, 2}},
+      {{nan, nan, nan}, {0, 1, 2}},
+      {{-inf, nan, 0.0, inf, -1.0}, {3, 2, 4, 0, 1}},
+      {{inf, inf, -inf, -inf}, {0, 1, 2, 3}},
+  };
+  for (const auto& c : cases)
+    EXPECT_EQ(order_descending(c.xs), c.expected)
+        << "case with " << c.xs.size() << " values";
+}
+
 TEST(RankTest, KendallIdenticalOrderIsOne) {
   const std::vector<double> xs = {1.0, 2.0, 3.0, 4.0};
   const std::vector<double> ys = {2.0, 4.0, 6.0, 8.0};
@@ -91,9 +113,8 @@ TEST(RankTest, TopKOverlapRejectsBadK) {
 }
 
 TEST(RankTest, RejectsNonFiniteInput) {
-  // Regression: NaN input used to reach the raw </> sort comparators,
-  // violating strict weak ordering and leaving stable_sort unspecified
-  // (reachable in practice — undefined metrics produce NaN utilities).
+  // The agreement measures reject non-finite input. order_descending ranks
+  // it instead: a NaN after every number, ±inf as numbers.
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
   const std::vector<double> with_nan = {1.0, nan, 3.0};
@@ -101,7 +122,8 @@ TEST(RankTest, RejectsNonFiniteInput) {
   const std::vector<double> with_neg_inf = {1.0, -inf, 3.0};
   const std::vector<double> clean = {1.0, 2.0, 3.0};
 
-  EXPECT_THROW(order_descending(with_nan), std::invalid_argument);
+  EXPECT_EQ(order_descending(with_nan), (std::vector<std::size_t>{2, 0, 1}));
+  EXPECT_EQ(order_descending(with_inf), (std::vector<std::size_t>{1, 2, 0}));
   EXPECT_THROW(kendall_tau(with_nan, clean), std::invalid_argument);
   EXPECT_THROW(kendall_tau(clean, with_neg_inf), std::invalid_argument);
   EXPECT_THROW(top_k_overlap(with_nan, clean, 2), std::invalid_argument);

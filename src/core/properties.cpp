@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "core/sampling.h"
-#include "stats/arena.h"
 #include "stats/descriptive.h"
 #include "stats/parallel.h"
 
@@ -190,13 +189,10 @@ double PropertyAssessor::assess_discrimination(MetricId id,
   if (metric_info(id).direction == Direction::kNone) return 0.0;
   const std::size_t comparisons = config_.quality_gaps.size() * config_.trials;
   std::vector<stats::Rng> children = split_children(rng, comparisons);
-  // Sample both contexts of every comparison into arena slots in parallel
+  // Sample both contexts of every comparison into their slots in parallel
   // (pre-split Rngs keep the draws thread-count invariant), then score
   // them in index order.
-  stats::Arena& arena = stats::Arena::scratch();
-  arena.reset();
-  const std::span<EvalContext> contexts =
-      arena.allocate_span<EvalContext>(2 * comparisons);
+  std::vector<EvalContext> contexts(2 * comparisons);
   stats::parallel_for_indexed(comparisons, [&](std::size_t k) {
     stats::Rng& trial_rng = children[k];
     const double gap = config_.quality_gaps[k / config_.trials];
@@ -311,10 +307,7 @@ double PropertyAssessor::assess_stability(MetricId id,
   if (metric_info(id).direction == Direction::kNone) return 0.0;
   const DetectorProfile d{0.70, 0.10};
   std::vector<stats::Rng> children = split_children(rng, config_.trials);
-  stats::Arena& arena = stats::Arena::scratch();
-  arena.reset();
-  const std::span<EvalContext> contexts =
-      arena.allocate_span<EvalContext>(config_.trials);
+  std::vector<EvalContext> contexts(config_.trials);
   stats::parallel_for_indexed(config_.trials, [&](std::size_t t) {
     const ConfusionMatrix cm = sample_confusion(
         d, config_.base_prevalence, config_.benchmark_items, children[t]);
@@ -343,10 +336,7 @@ double PropertyAssessor::assess_definedness(MetricId id,
                                             stats::Rng& rng) const {
   constexpr std::uint64_t kSmallBenchmark = 40;
   std::vector<stats::Rng> children = split_children(rng, config_.trials);
-  stats::Arena& arena = stats::Arena::scratch();
-  arena.reset();
-  const std::span<EvalContext> contexts =
-      arena.allocate_span<EvalContext>(config_.trials);
+  std::vector<EvalContext> contexts(config_.trials);
   stats::parallel_for_indexed(config_.trials, [&](std::size_t t) {
     stats::Rng& trial_rng = children[t];
     DetectorProfile d;

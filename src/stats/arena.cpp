@@ -76,9 +76,4 @@ std::size_t Arena::capacity() const noexcept {
   return total;
 }
 
-Arena& Arena::scratch() {
-  thread_local Arena arena;
-  return arena;
-}
-
 }  // namespace vdbench::stats

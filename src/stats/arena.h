@@ -1,11 +1,9 @@
 // Bump allocator for per-batch scratch memory.
 //
-// The property assessor's parallel context fills and the bootstrap
-// resampling loop need short-lived arrays whose lifetime is one batch or
-// one call: sampled contexts, resample buffers. Allocating them
-// from the general heap puts malloc/free on the hottest loops of the
-// study; the Arena instead hands out pointers from large blocks with a
-// single bump, and reclaims everything at once with reset().
+// core::make_batch gathers a batch of contexts into structure-of-arrays
+// columns whose lifetime is one batch; perfbench's kernel probe builds
+// its batches this way. The Arena hands out pointers from large blocks
+// with a single bump, and reclaims everything at once with reset().
 //
 // Contract:
 //  - allocate() is O(1) amortised; blocks grow geometrically and are
@@ -17,8 +15,7 @@
 //    VDBENCH_ARENA_POISON set (any non-empty value), reset() fills the
 //    reclaimed memory with 0xA5 so use-after-reset bugs read garbage
 //    loudly instead of stale-but-plausible values.
-//  - An Arena is single-threaded. Parallel tasks use Arena::scratch(),
-//    a thread_local instance, so concurrent tasks never share one.
+//  - An Arena is single-threaded; concurrent tasks must not share one.
 #pragma once
 
 #include <cstddef>
@@ -69,12 +66,6 @@ class Arena {
   }
   /// True when VDBENCH_ARENA_POISON enabled the debug poison fill.
   [[nodiscard]] bool poison_enabled() const noexcept { return poison_; }
-
-  /// Per-thread scratch arena for leaf-scope use inside parallel tasks
-  /// and hot library functions: reset() it, fill it, consume the data,
-  /// and do not hold pointers across calls into code that may also use
-  /// the scratch arena on this thread.
-  [[nodiscard]] static Arena& scratch();
 
  private:
   struct Block {

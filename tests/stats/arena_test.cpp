@@ -1,4 +1,4 @@
-// Unit tests for the bump allocator behind the study's scratch arrays.
+// Unit tests for the bump allocator behind core::make_batch's batches.
 #include "stats/arena.h"
 
 #include <gtest/gtest.h>
@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
-#include <thread>
 
 namespace vdbench::stats {
 namespace {
@@ -95,15 +94,6 @@ TEST(ArenaTest, PoisonDisabledByDefault) {
   unsetenv("VDBENCH_ARENA_POISON");
   Arena arena;
   EXPECT_FALSE(arena.poison_enabled());
-}
-
-TEST(ArenaTest, ScratchIsPerThread) {
-  Arena* main_scratch = &Arena::scratch();
-  Arena* other_scratch = nullptr;
-  std::thread worker([&] { other_scratch = &Arena::scratch(); });
-  worker.join();
-  EXPECT_EQ(main_scratch, &Arena::scratch());
-  EXPECT_NE(main_scratch, other_scratch);
 }
 
 }  // namespace

@@ -342,7 +342,6 @@ void Server::handle_session(Pending session, std::ostream& log) {
   driver.json_out = (work / (session_name + ".export.json")).string();
   driver.manifest_path = (work / (session_name + ".manifest.json")).string();
   driver.artifact_dir = (work / (session_name + ".artifacts")).string();
-  std::filesystem::create_directories(driver.artifact_dir);
   driver.retries = request->retries;
   driver.timeout_sec = request->timeout_sec;
   driver.study_seed =

@@ -1,9 +1,10 @@
 // End-to-end tests for the vdbench daemon (net/server.h + net/client.h):
 // byte-identity against a local driver run, shared-cache dedup across
 // sessions, admission control, per-connection deadlines, dead-client
-// detection, graceful drain, and injected net.* faults. Every client
-// request uses threads=0 so no session reconfigures the process-wide
-// thread pool out from under another test.
+// detection, graceful drain, injected net.* faults, and a session whose
+// artifact directory cannot be created. Every client request uses
+// threads=0 so no session reconfigures the process-wide thread pool out
+// from under another test.
 #include "net/server.h"
 
 #include <gtest/gtest.h>
@@ -21,6 +22,7 @@
 
 #include "cli/driver.h"
 #include "cli/experiment.h"
+#include "experiments.h"
 #include "fault/injector.h"
 #include "net/client.h"
 #include "net/frame.h"
@@ -384,6 +386,22 @@ TEST_F(DaemonTest, InjectedNetFaultsDegradeToStatusesNotCrashes) {
     EXPECT_EQ(clean.status.status, "ok") << spec;
     EXPECT_EQ(clean.status.exit_code, 0) << spec;
   }
+  EXPECT_EQ(stop_server(), 0);
+}
+
+TEST_F(DaemonTest, AnUncreatableArtifactDirectoryEndsNoSession) {
+  // A regular file where session-1's artifact directory would go. The
+  // driver creates that directory only to write an artifact into it, and
+  // e1 writes none, so the session ends ok and the daemon serves on.
+  fs::create_directories(options_.work_dir);
+  std::ofstream(fs::path(options_.work_dir) / "session-1.artifacts") << "x";
+  registry_ = bench::study_registry();
+  start_server();
+  const ClientOutcome first = run_client("e1");
+  EXPECT_EQ(first.status.status, "ok") << first.status.error;
+  const ClientOutcome second = run_client("e1");
+  EXPECT_EQ(second.status.status, "ok") << second.status.error;
+  EXPECT_EQ(second.export_json, first.export_json);
   EXPECT_EQ(stop_server(), 0);
 }
 

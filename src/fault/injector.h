@@ -58,8 +58,8 @@ namespace vdbench::fault {
 
 /// Every registered injection-point name, in canonical order. This table is
 /// the single spelling authority: arm() validates specs against it, and the
-/// vdlint `vdl-fault-point` rule parses it out of this header to reject any
-/// hit("...") call site naming an unregistered point.
+/// vdlint `vdl-fault-point` rule looks hit("...") literals up in it to
+/// reject any call site naming an unregistered point.
 inline constexpr const char* kKnownPoints[] = {
     "cache.read",     "cache.write",    "experiment.body", "executor.task",
     "manifest.write", "stream.produce", "stream.consume",  "net.accept",

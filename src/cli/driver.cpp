@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 
 #include "cache/hash.h"
 #include "core/study.h"
@@ -145,18 +146,60 @@ std::string run_status(std::size_t completed, std::size_t failed) {
   return failed == completed ? "unusable" : "partial";
 }
 
+// The resolved state of one run, shared by run_driver's three phases:
+// prepare() fills it, run_experiment() adds one experiment's outcome and
+// payload, and finish() publishes the outputs.
+struct RunState {
+  explicit RunState(const DriverOptions& opts) : options(opts) {}
+
+  const PriorRecord* find_prior(const std::string& id) const {
+    for (const auto& [prior_id, record] : prior_records)
+      if (prior_id == id) return &record;
+    return nullptr;
+  }
+
+  const DriverOptions& options;
+  std::vector<const Experiment*> selected;
+  /// The manifest reports this run's telemetry as a delta from here, so
+  /// repeated run_driver calls in one process (tests) each see their own.
+  obs::CounterSnapshot telemetry_baseline;
+  std::vector<std::pair<std::string, PriorRecord>> prior_records;
+  std::uint64_t replay_digest = 0;
+  std::uint64_t sarif_digest = 0;
+  std::uint64_t truth_digest = 0;
+  std::size_t threads = 0;
+  std::function<std::uint64_t()> clock;
+  std::filesystem::path cache_dir;
+  std::optional<cache::ResultCache> result_cache;
+  /// Experiments read its stages, each computed on first request; every
+  /// run computes its own.
+  core::Study study;
+  std::int64_t start_ns = 0;
+  std::vector<std::string> payloads;  ///< the successes', in run order
+  bool aborted_fail_fast = false;
+  RunOutcome run;
+};
+
+// The run's wall seconds and cacheable hit rate so far.
+void update_totals(RunState& state) {
+  RunOutcome& run = state.run;
+  run.total_seconds =
+      static_cast<double>(obs::now_ns() - state.start_ns) * 1e-9;
+  const std::size_t lookups = run.hits + run.misses;
+  run.hit_rate = lookups == 0 ? 0.0
+                              : static_cast<double>(run.hits) /
+                                    static_cast<double>(lookups);
+}
+
 // Serialize the manifest and publish it atomically. Called after every
 // experiment (complete = false) and once at the end (complete = true), so
 // a crash at any instant leaves the latest consistent snapshot on disk —
 // exactly what --resume needs. Returns false when the write failed (or the
 // `manifest.write` fault point fired).
-bool write_manifest(const std::string& path, const RunOutcome& run,
-                    const DriverOptions& options,
-                    const std::filesystem::path& cache_dir,
-                    const cache::CacheStats& cache_stats,
-                    const obs::CounterSnapshot& telemetry_baseline,
-                    std::uint64_t generated_at, std::size_t threads,
-                    std::size_t selected, bool complete) {
+bool write_manifest(const RunState& state, bool complete) {
+  const DriverOptions& options = state.options;
+  const RunOutcome& run = state.run;
+  const std::uint64_t generated_at = state.clock();
   const obs::Span span(obs::names::kDriverManifest);
   if (fault::Injector::global().hit("manifest.write") !=
       fault::Action::kNone)
@@ -165,8 +208,8 @@ bool write_manifest(const std::string& path, const RunOutcome& run,
   json.begin_object();
   json.field("schema", static_cast<std::uint64_t>(kEngineSchemaVersion));
   json.field("generated_at", generated_at);
-  json.field("threads", static_cast<std::uint64_t>(threads));
-  json.field("cache_dir", cache_dir.string());
+  json.field("threads", static_cast<std::uint64_t>(state.threads));
+  json.field("cache_dir", state.cache_dir.string());
   json.field("cache_enabled", options.use_cache);
   json.field("refresh", options.refresh);
   json.field("complete", complete);
@@ -211,7 +254,7 @@ bool write_manifest(const std::string& path, const RunOutcome& run,
   }
   json.end_array();
   json.key("summary").begin_object();
-  json.field("requested", static_cast<std::uint64_t>(selected));
+  json.field("requested", static_cast<std::uint64_t>(state.selected.size()));
   json.field("completed",
              static_cast<std::uint64_t>(run.experiments.size()));
   json.field("failed", static_cast<std::uint64_t>(run.failed));
@@ -224,6 +267,8 @@ bool write_manifest(const std::string& path, const RunOutcome& run,
   json.field("misses", static_cast<std::uint64_t>(run.misses));
   json.field("hit_rate", run.hit_rate);
   json.field("total_seconds", run.total_seconds);
+  const cache::CacheStats cache_stats =
+      state.result_cache ? state.result_cache->stats() : cache::CacheStats{};
   json.key("cache").begin_object();
   json.field("stores", static_cast<std::uint64_t>(cache_stats.stores));
   json.field("evictions", static_cast<std::uint64_t>(cache_stats.evictions));
@@ -237,7 +282,7 @@ bool write_manifest(const std::string& path, const RunOutcome& run,
   // --json-out export instead derives its telemetry from exported content.
   const obs::Registry& registry = obs::Registry::global();
   const obs::CounterSnapshot delta =
-      registry.snapshot().since(telemetry_baseline);
+      registry.snapshot().since(state.telemetry_baseline);
   json.key("telemetry").begin_object();
   json.key("counters").begin_object();
   for (std::size_t i = 0; i < obs::kCounterCount; ++i) {
@@ -253,7 +298,8 @@ bool write_manifest(const std::string& path, const RunOutcome& run,
   json.end_object();
   json.end_object();
   json.end_object();
-  const bool ok = cache::write_file_atomic(path, json.str() + "\n");
+  const bool ok =
+      cache::write_file_atomic(options.manifest_path, json.str() + "\n");
   if (ok) obs::count(obs::Counter::kManifestWrites);
   return ok;
 }
@@ -266,7 +312,7 @@ bool write_manifest(const std::string& path, const RunOutcome& run,
 // which legitimately differ between a cold and a warm run.
 bool write_json_export(const std::string& path,
                        const std::vector<std::string>& payloads,
-                       const std::vector<const ExperimentOutcome*>& failures,
+                       const std::vector<ExperimentOutcome>& outcomes,
                        std::uint64_t study_seed) {
   const obs::Span span(obs::names::kDriverExport);
   report::JsonWriter json;
@@ -277,11 +323,14 @@ bool write_json_export(const std::string& path,
   for (const std::string& payload : payloads) json.raw_value(payload);
   json.end_array();
   json.key("errors").begin_array();
-  for (const ExperimentOutcome* outcome : failures) {
+  std::uint64_t failures = 0;
+  for (const ExperimentOutcome& outcome : outcomes) {
+    if (outcome.source != ExperimentOutcome::Source::kFailed) continue;
+    ++failures;
     json.begin_object();
-    json.field("experiment", outcome->id);
-    json.field("error_class", outcome->error_class);
-    json.field("error", outcome->error);
+    json.field("experiment", outcome.id);
+    json.field("error_class", outcome.error_class);
+    json.field("error", outcome.error);
     json.end_object();
   }
   json.end_array();
@@ -300,7 +349,7 @@ bool write_json_export(const std::string& path,
   }
   json.key("telemetry").begin_object();
   json.field("experiments", static_cast<std::uint64_t>(payloads.size()));
-  json.field("failures", static_cast<std::uint64_t>(failures.size()));
+  json.field("failures", failures);
   json.field("payload_bytes", payload_bytes);
   json.field("artifacts", artifact_count);
   json.key("payload_size_log2").begin_array();
@@ -616,350 +665,280 @@ std::optional<DriverOptions> parse_args(int argc, const char* const* argv,
   return options;
 }
 
-RunOutcome run_driver(const ExperimentRegistry& registry,
-                      const DriverOptions& options, std::ostream& out) {
-  RunOutcome run;
+namespace {
 
-  if (options.list_only) {
-    report::Table table({"id", "cacheable", "title"});
-    for (const Experiment& e : registry.all())
-      table.add_row({e.id, e.cacheable ? "yes" : "no", e.title});
-    table.print(out);
-    return run;
+// A usage error found by prepare(): run_driver prints it and exits 2.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+// Digest an input file before anything runs: an unreadable or damaged one
+// is a usage error, not something to discover mid-study.
+std::uint64_t digest_input(std::string_view flag, const std::string& path) {
+  try {
+    return stream::file_digest(path);
+  } catch (const std::exception& e) {
+    throw UsageError("cannot read " + std::string(flag) + " '" + path +
+                     "': " + e.what());
   }
+}
 
+// Phase 1: the selection, the --resume record and the input digests (each
+// failure a UsageError), then the pool, the cache and the run's study.
+void prepare(const ExperimentRegistry& registry, RunState& state,
+             std::ostream& out) {
+  const DriverOptions& options = state.options;
   std::vector<std::string> unknown;
-  const std::vector<const Experiment*> selected =
-      registry.select(options.experiments, unknown);
+  state.selected = registry.select(options.experiments, unknown);
   if (!unknown.empty()) {
-    out << "vdbench: unknown experiment id(s):";
-    for (const std::string& id : unknown) out << ' ' << id;
-    out << "\nknown ids:";
-    for (const Experiment& e : registry.all()) out << ' ' << e.id;
-    out << "\n";
-    run.exit_code = kExitUsage;
-    return run;
+    std::ostringstream message;
+    message << "unknown experiment id(s):";
+    for (const std::string& id : unknown) message << ' ' << id;
+    message << "\nknown ids:";
+    for (const Experiment& e : registry.all()) message << ' ' << e.id;
+    throw UsageError(message.str());
   }
-  if (selected.empty()) {
-    out << "vdbench: no experiments selected\n";
-    run.exit_code = kExitUsage;
-    return run;
-  }
+  if (state.selected.empty()) throw UsageError("no experiments selected");
 
-  // Observability setup: arm the tracer only when asked (disarmed span
-  // sites cost one relaxed atomic load), and snapshot the counter registry
-  // so the manifest can report this run's telemetry as a delta even when
-  // run_driver is called repeatedly in one process (tests, --resume).
+  // Arm the tracer only when asked (a disarmed span costs one atomic load).
   if (!options.trace_out.empty()) obs::Tracer::global().start();
-  const obs::CounterSnapshot telemetry_baseline =
-      obs::Registry::global().snapshot();
+  state.telemetry_baseline = obs::Registry::global().snapshot();
 
-  std::vector<std::pair<std::string, PriorRecord>> prior_records;
   if (!options.resume_path.empty()) {
     const obs::Span resume_span(obs::names::kDriverResume, options.resume_path);
     std::optional<std::vector<std::pair<std::string, PriorRecord>>> loaded =
         load_resume_manifest(options.resume_path);
-    if (!loaded) {
-      out << "vdbench: cannot resume from '" << options.resume_path
-          << "': missing or not a run manifest\n";
-      run.exit_code = kExitUsage;
-      if (!options.trace_out.empty()) obs::Tracer::global().stop();
-      return run;
-    }
-    prior_records = std::move(*loaded);
+    if (!loaded)
+      throw UsageError("cannot resume from '" + options.resume_path +
+                       "': missing or not a run manifest");
+    state.prior_records = std::move(*loaded);
     std::size_t prior_ok = 0;
-    for (const auto& [id, record] : prior_records)
+    for (const auto& [id, record] : state.prior_records)
       if (record.ok) ++prior_ok;
     out << "vdbench: resuming from " << options.resume_path << " ("
-        << prior_ok << " of " << prior_records.size()
+        << prior_ok << " of " << state.prior_records.size()
         << " prior experiment(s) recorded ok)\n";
   }
-  const auto find_prior = [&prior_records](
-                              const std::string& id) -> const PriorRecord* {
-    for (const auto& [prior_id, record] : prior_records)
-      if (prior_id == id) return &record;
-    return nullptr;
-  };
 
-  // Digest the replay log before anything runs: an unreadable or damaged
-  // log is a usage error, not something to discover mid-study. The digest
-  // joins every streaming experiment's cache key, so replays of two
-  // different logs can never serve each other's cached results.
-  std::uint64_t replay_digest = 0;
-  if (!options.replay_log.empty()) {
-    try {
-      replay_digest = stream::file_digest(options.replay_log);
-    } catch (const std::exception& e) {
-      out << "vdbench: cannot read --replay-log '" << options.replay_log
-          << "': " << e.what() << "\n";
-      run.exit_code = kExitUsage;
-      if (!options.trace_out.empty()) obs::Tracer::global().stop();
-      return run;
-    }
-  }
-
-  // Same discipline for external corpus files: digest both before anything
-  // runs (unreadable = usage error), and fold the digests into every corpus
-  // experiment's cache key so two different corpora can never alias.
-  std::uint64_t sarif_digest = 0;
-  std::uint64_t truth_digest = 0;
+  // The replay log's digest joins every streaming experiment's cache key,
+  // and the external corpus files' digests every corpus experiment's, so
+  // runs over two different inputs can never serve each other's results.
+  if (!options.replay_log.empty())
+    state.replay_digest = digest_input("--replay-log", options.replay_log);
   if (!options.sarif_report.empty()) {
-    try {
-      sarif_digest = stream::file_digest(options.sarif_report);
-    } catch (const std::exception& e) {
-      out << "vdbench: cannot read --sarif-report '" << options.sarif_report
-          << "': " << e.what() << "\n";
-      run.exit_code = kExitUsage;
-      if (!options.trace_out.empty()) obs::Tracer::global().stop();
-      return run;
-    }
-    try {
-      truth_digest = stream::file_digest(options.ground_truth);
-    } catch (const std::exception& e) {
-      out << "vdbench: cannot read --ground-truth '" << options.ground_truth
-          << "': " << e.what() << "\n";
-      run.exit_code = kExitUsage;
-      if (!options.trace_out.empty()) obs::Tracer::global().stop();
-      return run;
-    }
+    state.sarif_digest = digest_input("--sarif-report", options.sarif_report);
+    state.truth_digest = digest_input("--ground-truth", options.ground_truth);
   }
 
   if (options.threads > 0) stats::set_global_threads(options.threads);
-  const std::size_t threads = stats::global_executor().thread_count();
+  state.threads = stats::global_executor().thread_count();
   obs::Registry::global().set(obs::Gauge::kThreads,
-                              static_cast<std::uint64_t>(threads));
+                              static_cast<std::uint64_t>(state.threads));
 
   // Wall-clock reads live in src/obs (vdlint vdl-wallclock): the driver
   // only timestamps cache recency, which is never byte-compared.
-  const std::function<std::uint64_t()> clock =
-      options.clock ? options.clock
-                    : std::function<std::uint64_t()>(obs::wall_clock_seconds);
+  state.clock = options.clock ? options.clock
+                              : std::function<std::uint64_t()>(
+                                    obs::wall_clock_seconds);
 
-  const std::filesystem::path cache_dir =
-      cache::ResultCache::resolve_dir(options.cache_dir);
-  std::optional<cache::ResultCache> result_cache;
+  state.cache_dir = cache::ResultCache::resolve_dir(options.cache_dir);
   if (options.use_cache) {
     try {
-      result_cache.emplace(cache::ResultCache::Config{
-          cache_dir, cache::ResultCache::resolve_max_bytes(
-                         options.cache_max_bytes)});
+      state.result_cache.emplace(cache::ResultCache::Config{
+          state.cache_dir, cache::ResultCache::resolve_max_bytes(
+                               options.cache_max_bytes)});
     } catch (const std::exception& e) {
       out << "vdbench: cache disabled (" << e.what() << ")\n";
     }
   }
 
-  out << "vdbench: running " << selected.size() << " experiment(s), threads="
-      << threads << ", cache="
-      << (result_cache ? cache_dir.string() : std::string("off"))
+  out << "vdbench: running " << state.selected.size()
+      << " experiment(s), threads=" << state.threads << ", cache="
+      << (state.result_cache ? state.cache_dir.string() : std::string("off"))
       << (options.refresh ? " (refresh)" : "") << "\n";
   if (fault::Injector::global().armed())
     out << "vdbench: fault injector ARMED\n";
+  state.start_ns = obs::now_ns();
+}
 
-  // The run's study: experiments read its stages, each computed on first
-  // request. It lives for this call only — every run computes its own.
-  core::Study study;
+// Phase 2, once per selected experiment: its key, the cache fetch or the
+// supervised compute, the store, its artifacts and its manifest row,
+// published at once so a killed run leaves a resumable record.
+void run_experiment(RunState& state, const Experiment& experiment,
+                    std::ostream& out) {
+  const DriverOptions& options = state.options;
+  RunOutcome& run = state.run;
+  // The experiment's span ends where its seconds are taken, before the
+  // manifest write, so the two share their clock readings.
+  obs::TimedSpan experiment_span(obs::names::kDriverExperiment, experiment.id);
+  ExperimentContext::StreamRun stream_run;
+  ExperimentContext::CorpusRun corpus_run;
+  std::string key_config = experiment.config;
+  if (experiment.streaming) {
+    stream_run.record_log = options.record_log;
+    stream_run.replay_log = options.replay_log;
+    if (!options.replay_log.empty())
+      key_config += "|replay=" + cache::to_hex64(state.replay_digest);
+  }
+  if (experiment.corpus && !options.sarif_report.empty()) {
+    corpus_run.sarif_report = options.sarif_report;
+    corpus_run.ground_truth = options.ground_truth;
+    key_config += "|sarif=" + cache::to_hex64(state.sarif_digest) +
+                  "|truth=" + cache::to_hex64(state.truth_digest);
+  }
+  const cache::CacheKey key{experiment.id, key_config, options.study_seed,
+                            kEngineSchemaVersion};
+  ExperimentOutcome outcome;
+  outcome.id = experiment.id;
+  outcome.key_hex = key.hex();
+  outcome.timestamp = state.clock();
+  const PriorRecord* prior = state.find_prior(experiment.id);
+  if (prior != nullptr) {
+    outcome.resumed = true;
+    outcome.attempts = prior->attempts;
+  }
 
-  const std::int64_t run_start_ns = obs::now_ns();
-  const auto run_seconds = [run_start_ns] {
-    return static_cast<double>(obs::now_ns() - run_start_ns) * 1e-9;
-  };
-  std::vector<std::string> payloads;
-  payloads.reserve(selected.size());
-  bool aborted_fail_fast = false;
+  out << "\n=== " << experiment.id << " — " << experiment.title << "\n";
+  if (prior != nullptr && prior->ok)
+    out << "resume: recorded ok in prior run, replaying from cache\n";
 
-  for (const Experiment* experiment : selected) {
-    // The experiment's span ends where its seconds are taken, before the
-    // manifest write, so the two share their clock readings.
-    obs::TimedSpan experiment_span(obs::names::kDriverExperiment,
-                                   experiment->id);
-    ExperimentContext::StreamRun stream_run;
-    ExperimentContext::CorpusRun corpus_run;
-    std::string key_config = experiment->config;
-    if (experiment->streaming) {
-      stream_run.record_log = options.record_log;
-      stream_run.replay_log = options.replay_log;
-      if (!options.replay_log.empty())
-        key_config += "|replay=" + cache::to_hex64(replay_digest);
-    }
-    if (experiment->corpus && !options.sarif_report.empty()) {
-      corpus_run.sarif_report = options.sarif_report;
-      corpus_run.ground_truth = options.ground_truth;
-      key_config += "|sarif=" + cache::to_hex64(sarif_digest) +
-                    "|truth=" + cache::to_hex64(truth_digest);
-    }
-    const cache::CacheKey key{experiment->id, key_config, options.study_seed,
-                              kEngineSchemaVersion};
-    ExperimentOutcome outcome;
-    outcome.id = experiment->id;
-    outcome.key_hex = key.hex();
-    outcome.timestamp = clock();
-    const PriorRecord* prior = find_prior(experiment->id);
-    if (prior != nullptr) {
-      outcome.resumed = true;
-      outcome.attempts = prior->attempts;
-    }
-
-    out << "\n=== " << experiment->id << " — " << experiment->title << "\n";
-    if (prior != nullptr && prior->ok)
-      out << "resume: recorded ok in prior run, replaying from cache\n";
-
-    // Cache lookup. A read failure of any kind (including injected ones)
-    // degrades to recompute, never to a run failure.
-    std::optional<DecodedPayload> replay;
-    std::string payload;
-    // While recording, a streaming experiment must actually run — a cache
-    // hit would replay the text but skip producing the log.
-    const bool recording =
-        experiment->streaming && !options.record_log.empty();
-    const bool lookup = result_cache.has_value() && experiment->cacheable &&
-                        !options.refresh && !recording;
-    if (lookup) {
-      try {
-        if (std::optional<std::string> cached =
-                result_cache->fetch(key, outcome.timestamp)) {
-          replay = decode_payload(*cached);
-          if (replay) payload = std::move(*cached);
-          // A checksummed entry that fails structural decode means the
-          // payload schema moved without a version bump; recompute.
-        }
-      } catch (const std::exception& e) {
-        out << "warning: cache read failed (" << e.what()
-            << "), recomputing\n";
+  // While recording, a streaming experiment must actually run — a cache
+  // hit would replay the text but skip producing the log.
+  const bool recording = experiment.streaming && !options.record_log.empty();
+  std::optional<DecodedPayload> replay;
+  std::string payload;
+  if (state.result_cache.has_value() && experiment.cacheable &&
+      !options.refresh && !recording) {
+    // A read failure of any kind (including injected ones) degrades to
+    // recompute, never to a run failure.
+    try {
+      if (std::optional<std::string> cached =
+              state.result_cache->fetch(key, outcome.timestamp)) {
+        replay = decode_payload(*cached);
+        if (replay) payload = std::move(*cached);
+        // A checksummed entry that fails structural decode means the
+        // payload schema moved without a version bump; recompute.
       }
-    }
-
-    stats::StageTimer timer;
-    if (replay) {
-      outcome.source = ExperimentOutcome::Source::kCacheHit;
-      {
-        const auto scope = timer.scope(obs::names::kPhaseCacheReplay);
-        if (!options.quiet) out << replay->text;
-        write_artifacts(replay->artifacts, options.artifact_dir, out);
-      }
-      ++run.hits;
-      obs::count(obs::Counter::kExperimentsReplayed);
-    } else {
-      // Compute under the supervisor: up to 1 + retries attempts, each a
-      // fresh context (same seed ⇒ byte-identical result), each optionally
-      // under its own --timeout-sec deadline.
-      AttemptOutcome attempt;
-      for (std::size_t attempt_no = 0; attempt_no <= options.retries;
-           ++attempt_no) {
-        // A cancelled run (a daemon session's deadline, a drain, a vanished
-        // client) starts no further attempt: a body that polls would fail
-        // at once, and one that never polls would compute in full for
-        // nobody. An experiment that never started fails as a body that is
-        // cancelled at its first poll does. An attempt's own --timeout-sec
-        // token is uninstalled by now, so its timeouts still retry.
-        if (stats::cancellation_requested()) {
-          if (attempt_no == 0) {
-            attempt.error_class = "timeout";
-            attempt.error = "the run was cancelled before the experiment "
-                            "started";
-          }
-          break;
-        }
-        if (attempt_no > 0) obs::count(obs::Counter::kRetries);
-        stats::StageTimer attempt_timer;
-        obs::TimedSpan attempt_span(obs::names::kDriverAttempt,
-                                    experiment->id);
-        attempt = execute_attempt(*experiment, options.timeout_sec,
-                                  attempt_timer, study, stream_run,
-                                  corpus_run);
-        const double attempt_seconds = attempt_span.stop();
-        outcome.attempts.push_back({attempt.ok ? "ok" : attempt.error_class,
-                                    attempt.error, attempt_seconds, false});
-        timer = std::move(attempt_timer);
-        if (attempt.ok) break;
-        out << "attempt " << (attempt_no + 1) << "/"
-            << (options.retries + 1) << " failed [" << attempt.error_class
-            << "]: " << attempt.error << "\n";
-      }
-
-      if (!attempt.ok) {
-        outcome.source = ExperimentOutcome::Source::kFailed;
-        outcome.error = attempt.error;
-        outcome.error_class = attempt.error_class;
-        out << "FAILED after " << outcome.attempts.size()
-            << " attempt(s) [" << outcome.error_class
-            << "]: " << outcome.error << "\n";
-        ++run.failed;
-        obs::count(obs::Counter::kExperimentsFailed);
-      } else {
-        obs::count(obs::Counter::kExperimentsComputed);
-        payload = build_payload(*experiment, options.study_seed,
-                                attempt.text, attempt.artifacts);
-        if (!options.quiet) out << attempt.text;
-        write_artifacts(attempt.artifacts, options.artifact_dir, out);
-        if (result_cache.has_value() && experiment->cacheable) {
-          outcome.source = ExperimentOutcome::Source::kComputed;
-          const auto scope = timer.scope(obs::names::kPhaseCacheStore);
-          try {
-            if (!result_cache->store(key, payload, outcome.timestamp))
-              out << "warning: could not persist cache entry\n";
-          } catch (const std::exception& e) {
-            out << "warning: could not persist cache entry (" << e.what()
-                << ")\n";
-          }
-          ++run.misses;
-        } else {
-          outcome.source = ExperimentOutcome::Source::kBypass;
-        }
-      }
-    }
-
-    outcome.seconds = experiment_span.stop();
-    outcome.stages = timer.stages();
-    if (outcome.source == ExperimentOutcome::Source::kCacheHit)
-      outcome.attempts.push_back({"ok", "", outcome.seconds, false});
-    if (outcome.source != ExperimentOutcome::Source::kFailed) {
-      payloads.push_back(std::move(payload));
-      if (outcome.source == ExperimentOutcome::Source::kCacheHit) {
-        out << "served from cache (key=" << outcome.key_hex << ", "
-            << report::format_value(outcome.seconds, 3) << "s)\n";
-      } else {
-        print_stage_table(outcome.stages, threads, out);
-      }
-    }
-    const bool failed = outcome.source == ExperimentOutcome::Source::kFailed;
-    run.experiments.push_back(std::move(outcome));
-
-    // Crash-safety: publish the manifest after every experiment so a killed
-    // run leaves a resumable record of everything that finished.
-    if (!options.manifest_path.empty()) {
-      run.total_seconds = run_seconds();
-      const std::size_t lookups_so_far = run.hits + run.misses;
-      run.hit_rate = lookups_so_far == 0
-                         ? 0.0
-                         : static_cast<double>(run.hits) /
-                               static_cast<double>(lookups_so_far);
-      if (!write_manifest(
-              options.manifest_path, run, options, cache_dir,
-              result_cache ? result_cache->stats() : cache::CacheStats{},
-              telemetry_baseline, clock(), threads, selected.size(),
-              /*complete=*/false))
-        out << "warning: could not write run manifest\n";
-    }
-
-    if (failed && options.fail_fast) {
-      out << "vdbench: --fail-fast, aborting after first failure\n";
-      aborted_fail_fast = true;
-      break;
+    } catch (const std::exception& e) {
+      out << "warning: cache read failed (" << e.what()
+          << "), recomputing\n";
     }
   }
 
-  run.total_seconds = run_seconds();
-  const std::size_t lookups = run.hits + run.misses;
-  run.hit_rate = lookups == 0
-                     ? 0.0
-                     : static_cast<double>(run.hits) /
-                           static_cast<double>(lookups);
+  stats::StageTimer timer;
+  if (replay) {
+    outcome.source = ExperimentOutcome::Source::kCacheHit;
+    {
+      const auto scope = timer.scope(obs::names::kPhaseCacheReplay);
+      if (!options.quiet) out << replay->text;
+      write_artifacts(replay->artifacts, options.artifact_dir, out);
+    }
+    ++run.hits;
+    obs::count(obs::Counter::kExperimentsReplayed);
+  } else {
+    // Compute under the supervisor: up to 1 + retries attempts, each a
+    // fresh context (same seed ⇒ byte-identical result), each optionally
+    // under its own --timeout-sec deadline.
+    AttemptOutcome attempt;
+    for (std::size_t attempt_no = 0; attempt_no <= options.retries;
+         ++attempt_no) {
+      // A cancelled run (a daemon session's deadline, a drain, a vanished
+      // client) starts no further attempt: a body that polls would fail
+      // at once, and one that never polls would compute in full for
+      // nobody. An experiment that never started fails as a body that is
+      // cancelled at its first poll does. An attempt's own --timeout-sec
+      // token is uninstalled by now, so its timeouts still retry.
+      if (stats::cancellation_requested()) {
+        if (attempt_no == 0) {
+          attempt.error_class = "timeout";
+          attempt.error = "the run was cancelled before the experiment "
+                          "started";
+        }
+        break;
+      }
+      if (attempt_no > 0) obs::count(obs::Counter::kRetries);
+      stats::StageTimer attempt_timer;
+      obs::TimedSpan attempt_span(obs::names::kDriverAttempt, experiment.id);
+      attempt = execute_attempt(experiment, options.timeout_sec,
+                                attempt_timer, state.study, stream_run,
+                                corpus_run);
+      const double attempt_seconds = attempt_span.stop();
+      outcome.attempts.push_back({attempt.ok ? "ok" : attempt.error_class,
+                                  attempt.error, attempt_seconds, false});
+      timer = std::move(attempt_timer);
+      if (attempt.ok) break;
+      out << "attempt " << (attempt_no + 1) << "/" << (options.retries + 1)
+          << " failed [" << attempt.error_class << "]: " << attempt.error
+          << "\n";
+    }
+
+    if (!attempt.ok) {
+      outcome.source = ExperimentOutcome::Source::kFailed;
+      outcome.error = attempt.error;
+      outcome.error_class = attempt.error_class;
+      out << "FAILED after " << outcome.attempts.size() << " attempt(s) ["
+          << outcome.error_class << "]: " << outcome.error << "\n";
+      ++run.failed;
+      obs::count(obs::Counter::kExperimentsFailed);
+    } else {
+      obs::count(obs::Counter::kExperimentsComputed);
+      payload = build_payload(experiment, options.study_seed, attempt.text,
+                              attempt.artifacts);
+      if (!options.quiet) out << attempt.text;
+      write_artifacts(attempt.artifacts, options.artifact_dir, out);
+      if (state.result_cache.has_value() && experiment.cacheable) {
+        outcome.source = ExperimentOutcome::Source::kComputed;
+        const auto scope = timer.scope(obs::names::kPhaseCacheStore);
+        try {
+          if (!state.result_cache->store(key, payload, outcome.timestamp))
+            out << "warning: could not persist cache entry\n";
+        } catch (const std::exception& e) {
+          out << "warning: could not persist cache entry (" << e.what()
+              << ")\n";
+        }
+        ++run.misses;
+      } else {
+        outcome.source = ExperimentOutcome::Source::kBypass;
+      }
+    }
+  }
+
+  outcome.seconds = experiment_span.stop();
+  outcome.stages = timer.stages();
+  if (outcome.source == ExperimentOutcome::Source::kCacheHit) {
+    outcome.attempts.push_back({"ok", "", outcome.seconds, false});
+    out << "served from cache (key=" << outcome.key_hex << ", "
+        << report::format_value(outcome.seconds, 3) << "s)\n";
+  } else if (outcome.source != ExperimentOutcome::Source::kFailed) {
+    print_stage_table(outcome.stages, state.threads, out);
+  }
+  const bool failed = outcome.source == ExperimentOutcome::Source::kFailed;
+  if (!failed) state.payloads.push_back(std::move(payload));
+  run.experiments.push_back(std::move(outcome));
+
+  update_totals(state);
+  if (!options.manifest_path.empty() &&
+      !write_manifest(state, /*complete=*/false))
+    out << "warning: could not write run manifest\n";
+
+  if (failed && options.fail_fast) {
+    out << "vdbench: --fail-fast, aborting after first failure\n";
+    state.aborted_fail_fast = true;
+  }
+}
+
+// Phase 3: the summary, the exit code, and the outputs — the export, the
+// trace and the final manifest.
+void finish(RunState& state, std::ostream& out) {
+  const DriverOptions& options = state.options;
+  RunOutcome& run = state.run;
+  update_totals(state);
 
   out << "\n=== run summary: " << run.experiments.size()
       << " experiment(s) in " << report::format_value(run.total_seconds, 3)
       << "s — " << run.hits << " cache hit(s), " << run.misses
       << " miss(es)";
-  if (lookups > 0)
+  if (run.hits + run.misses > 0)
     out << " (hit rate " << report::format_percent(run.hit_rate, 1) << ")";
   if (run.failed > 0) out << ", " << run.failed << " FAILED";
   out << "\n";
@@ -972,7 +951,7 @@ RunOutcome run_driver(const ExperimentRegistry& registry,
         << report::format_percent(run.hit_rate, 1) << " below required "
         << report::format_percent(options.min_hit_rate, 1) << "\n";
   }
-  if (aborted_fail_fast) {
+  if (state.aborted_fail_fast) {
     run.exit_code = kExitUnusable;
   } else if (run.failed == 0) {
     run.exit_code = run.hit_rate_ok ? kExitOk : kExitUnusable;
@@ -991,11 +970,7 @@ RunOutcome run_driver(const ExperimentRegistry& registry,
   // A degraded run still exports: successes plus per-experiment error
   // records, so partial studies remain inspectable.
   if (!options.json_out.empty()) {
-    std::vector<const ExperimentOutcome*> failures;
-    for (const ExperimentOutcome& outcome : run.experiments)
-      if (outcome.source == ExperimentOutcome::Source::kFailed)
-        failures.push_back(&outcome);
-    if (write_json_export(options.json_out, payloads, failures,
+    if (write_json_export(options.json_out, state.payloads, run.experiments,
                           options.study_seed))
       out << "wrote JSON export to " << options.json_out << "\n";
     else
@@ -1004,11 +979,7 @@ RunOutcome run_driver(const ExperimentRegistry& registry,
   }
 
   if (!options.manifest_path.empty()) {
-    if (write_manifest(
-            options.manifest_path, run, options, cache_dir,
-            result_cache ? result_cache->stats() : cache::CacheStats{},
-            telemetry_baseline, clock(), threads, selected.size(),
-            /*complete=*/true))
+    if (write_manifest(state, /*complete=*/true))
       out << "wrote run manifest to " << options.manifest_path << "\n";
     else
       out << "warning: could not write run manifest\n";
@@ -1026,7 +997,35 @@ RunOutcome run_driver(const ExperimentRegistry& registry,
       out << "warning: could not write trace to " << options.trace_out
           << "\n";
   }
-  return run;
+}
+
+}  // namespace
+
+RunOutcome run_driver(const ExperimentRegistry& registry,
+                      const DriverOptions& options, std::ostream& out) {
+  if (options.list_only) {
+    report::Table table({"id", "cacheable", "title"});
+    for (const Experiment& e : registry.all())
+      table.add_row({e.id, e.cacheable ? "yes" : "no", e.title});
+    table.print(out);
+    return {};
+  }
+
+  RunState state(options);
+  try {
+    prepare(registry, state, out);
+  } catch (const UsageError& e) {
+    out << "vdbench: " << e.what() << "\n";
+    if (!options.trace_out.empty()) obs::Tracer::global().stop();
+    state.run.exit_code = kExitUsage;
+    return state.run;
+  }
+  for (const Experiment* experiment : state.selected) {
+    run_experiment(state, *experiment, out);
+    if (state.aborted_fail_fast) break;
+  }
+  finish(state, out);
+  return std::move(state.run);
 }
 
 int vdbench_main(int argc, const char* const* argv,

@@ -90,8 +90,8 @@ options:
   --help               this text
 
 exit codes: 0 ok | 3 partial (some experiments failed, study usable) |
-1 unusable (all failed, --min-hit-rate violated, or --fail-fast abort) |
-2 usage error
+1 unusable (all failed, --min-hit-rate violated, --fail-fast abort, or a
+requested output not written) | 2 usage error
 
 environment: VDBENCH_FAULTS arms the deterministic fault injector, e.g.
 "cache.write=io_error@3;experiment.body=throw@e13:1" (see README).
@@ -122,28 +122,45 @@ void print_stage_table(const std::vector<stats::StageTimer::Stage>& stages,
   table.print(os);
 }
 
-void write_artifacts(const std::vector<Artifact>& artifacts,
-                     const std::string& artifact_dir, std::ostream& out) {
-  if (artifacts.empty()) return;
+// A requested output that its writer reports unwritten, named by its flag
+// and path. Any one makes the run unusable.
+void print_unwritten(std::string_view flag, const std::string& path,
+                     std::ostream& out) {
+  out << "vdbench: could not write " << flag << " " << path << "\n";
+}
+
+std::vector<ArtifactWrite> write_artifacts(
+    const std::vector<Artifact>& artifacts, const std::string& artifact_dir,
+    std::ostream& out) {
+  std::vector<ArtifactWrite> writes;
+  if (artifacts.empty()) return writes;
   const std::filesystem::path dir =
       artifact_dir.empty() ? std::filesystem::path(".")
                            : std::filesystem::path(artifact_dir);
   // write_file_atomic creates no directory; a failure here shows as the
-  // per-artifact warning below.
+  // artifact's own failed write below.
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   for (const Artifact& artifact : artifacts) {
-    const std::filesystem::path path = dir / artifact.name;
-    if (cache::write_file_atomic(path, artifact.content))
-      out << "wrote artifact " << path.string() << "\n";
+    const std::string path = (dir / artifact.name).string();
+    writes.push_back({path, cache::write_file_atomic(path, artifact.content)});
+    if (writes.back().written)
+      out << "wrote artifact " << path << "\n";
     else
-      out << "warning: could not write artifact " << path.string() << "\n";
+      print_unwritten("--artifact-dir", path, out);
   }
+  return writes;
 }
 
-std::string run_status(std::size_t completed, std::size_t failed) {
-  if (failed == 0) return "ok";
-  return failed == completed ? "unusable" : "partial";
+// The one run-status rule: a run's status is the name of its exit code.
+void set_exit_code(RunOutcome& run, int exit_code) {
+  run.exit_code = exit_code;
+  switch (exit_code) {
+    case kExitOk: run.status = "ok"; break;
+    case kExitPartial: run.status = "partial"; break;
+    case kExitUsage: run.status = "usage"; break;
+    default: run.status = "unusable";
+  }
 }
 
 // The resolved state of one run, shared by run_driver's three phases:
@@ -241,6 +258,14 @@ bool write_manifest(const RunState& state, bool complete) {
       json.end_object();
     }
     json.end_array();
+    json.key("artifacts").begin_array();
+    for (const ArtifactWrite& artifact : outcome.artifacts) {
+      json.begin_object();
+      json.field("path", artifact.path);
+      json.field("written", artifact.written);
+      json.end_object();
+    }
+    json.end_array();
     json.key("stages").begin_array();
     for (const stats::StageTimer::Stage& stage : outcome.stages) {
       json.begin_object();
@@ -258,8 +283,9 @@ bool write_manifest(const RunState& state, bool complete) {
   json.field("completed",
              static_cast<std::uint64_t>(run.experiments.size()));
   json.field("failed", static_cast<std::uint64_t>(run.failed));
-  json.field("status", run_status(run.experiments.size(), run.failed));
+  // A snapshot's run has no exit code yet, so it carries no status either.
   if (complete) {
+    json.field("status", run.status);
     json.field("exit_code", static_cast<std::int64_t>(run.exit_code));
     json.field("hit_rate_ok", run.hit_rate_ok);
   }
@@ -831,7 +857,8 @@ void run_experiment(RunState& state, const Experiment& experiment,
     {
       const auto scope = timer.scope(obs::names::kPhaseCacheReplay);
       if (!options.quiet) out << replay->text;
-      write_artifacts(replay->artifacts, options.artifact_dir, out);
+      outcome.artifacts =
+          write_artifacts(replay->artifacts, options.artifact_dir, out);
     }
     ++run.hits;
     obs::count(obs::Counter::kExperimentsReplayed);
@@ -885,7 +912,8 @@ void run_experiment(RunState& state, const Experiment& experiment,
       payload = build_payload(experiment, options.study_seed, attempt.text,
                               attempt.artifacts);
       if (!options.quiet) out << attempt.text;
-      write_artifacts(attempt.artifacts, options.artifact_dir, out);
+      outcome.artifacts =
+          write_artifacts(attempt.artifacts, options.artifact_dir, out);
       if (state.result_cache.has_value() && experiment.cacheable) {
         outcome.source = ExperimentOutcome::Source::kComputed;
         const auto scope = timer.scope(obs::names::kPhaseCacheStore);
@@ -927,8 +955,8 @@ void run_experiment(RunState& state, const Experiment& experiment,
   }
 }
 
-// Phase 3: the summary, the exit code, and the outputs — the export, the
-// trace and the final manifest.
+// Phase 3: the summary, the outputs — the export, the trace and the final
+// manifest — and the exit code.
 void finish(RunState& state, std::ostream& out) {
   const DriverOptions& options = state.options;
   RunOutcome& run = state.run;
@@ -943,29 +971,26 @@ void finish(RunState& state, std::ostream& out) {
   if (run.failed > 0) out << ", " << run.failed << " FAILED";
   out << "\n";
 
-  // Exit-code taxonomy. The hit-rate assertion is evaluated on every run —
-  // a partial run with a cold cache reports both conditions.
+  // The hit-rate assertion is evaluated on every run — a partial run with
+  // a cold cache reports both conditions.
   if (options.min_hit_rate >= 0.0 && run.hit_rate < options.min_hit_rate) {
     run.hit_rate_ok = false;
     out << "vdbench: cache hit rate "
         << report::format_percent(run.hit_rate, 1) << " below required "
         << report::format_percent(options.min_hit_rate, 1) << "\n";
   }
-  if (state.aborted_fail_fast) {
-    run.exit_code = kExitUnusable;
-  } else if (run.failed == 0) {
-    run.exit_code = run.hit_rate_ok ? kExitOk : kExitUnusable;
-  } else if (run.failed == run.experiments.size()) {
-    run.exit_code = kExitUnusable;
-  } else {
-    run.exit_code = kExitPartial;
-  }
-  run.status = run.exit_code == kExitOk
-                   ? "ok"
-                   : (run.exit_code == kExitPartial ? "partial" : "unusable");
-  if (run.failed > 0)
-    out << "vdbench: run " << run.status << " (" << run.failed << " of "
-        << run.experiments.size() << " experiment(s) failed)\n";
+
+  // Each requested output is judged by its last write, as its writer
+  // reports it; any one unwritten makes the run unusable, so exit 3 still
+  // promises an export.
+  std::size_t unwritten = 0;
+  const auto lose = [&](std::string_view flag, const std::string& path) {
+    print_unwritten(flag, path, out);
+    ++unwritten;
+  };
+  for (const ExperimentOutcome& outcome : run.experiments)
+    for (const ArtifactWrite& artifact : outcome.artifacts)
+      if (!artifact.written) ++unwritten;
 
   // A degraded run still exports: successes plus per-experiment error
   // records, so partial studies remain inspectable.
@@ -974,18 +999,10 @@ void finish(RunState& state, std::ostream& out) {
                           options.study_seed))
       out << "wrote JSON export to " << options.json_out << "\n";
     else
-      out << "warning: could not write JSON export to " << options.json_out
-          << "\n";
+      lose("--json-out", options.json_out);
   }
 
-  if (!options.manifest_path.empty()) {
-    if (write_manifest(state, /*complete=*/true))
-      out << "wrote run manifest to " << options.manifest_path << "\n";
-    else
-      out << "warning: could not write run manifest\n";
-  }
-
-  // Render the trace last, when the fork-join loops are quiescent and the
+  // Render the trace once the fork-join loops are quiescent and the
   // per-thread buffers are safe to merge.
   if (!options.trace_out.empty()) {
     obs::Tracer& tracer = obs::Tracer::global();
@@ -994,8 +1011,35 @@ void finish(RunState& state, std::ostream& out) {
       out << "wrote trace (" << tracer.event_count() << " events) to "
           << options.trace_out << "\n";
     else
-      out << "warning: could not write trace to " << options.trace_out
-          << "\n";
+      lose("--trace-out", options.trace_out);
+  }
+
+  if (state.aborted_fail_fast || unwritten > 0) {
+    set_exit_code(run, kExitUnusable);
+  } else if (run.failed == 0) {
+    set_exit_code(run, run.hit_rate_ok ? kExitOk : kExitUnusable);
+  } else {
+    set_exit_code(run, run.failed == run.experiments.size() ? kExitUnusable
+                                                            : kExitPartial);
+  }
+  // The final manifest is written last, so the exit code it records is the
+  // run's — unless this very write fails.
+  if (!options.manifest_path.empty()) {
+    if (write_manifest(state, /*complete=*/true)) {
+      out << "wrote run manifest to " << options.manifest_path << "\n";
+    } else {
+      lose("--manifest", options.manifest_path);
+      set_exit_code(run, kExitUnusable);
+    }
+  }
+
+  if (run.failed > 0 || unwritten > 0) {
+    out << "vdbench: run " << run.status << " (";
+    if (run.failed > 0)
+      out << run.failed << " of " << run.experiments.size()
+          << " experiment(s) failed" << (unwritten > 0 ? ", " : "");
+    if (unwritten > 0) out << unwritten << " requested output(s) not written";
+    out << ")\n";
   }
 }
 
@@ -1017,7 +1061,7 @@ RunOutcome run_driver(const ExperimentRegistry& registry,
   } catch (const UsageError& e) {
     out << "vdbench: " << e.what() << "\n";
     if (!options.trace_out.empty()) obs::Tracer::global().stop();
-    state.run.exit_code = kExitUsage;
+    set_exit_code(state.run, kExitUsage);
     return state.run;
   }
   for (const Experiment* experiment : state.selected) {

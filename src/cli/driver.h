@@ -15,13 +15,15 @@
 // experiment, so a crash at any instant leaves a parseable record that
 // --resume can continue from.
 //
-// Exit-code contract:
-//   0  every selected experiment succeeded (and --min-hit-rate held)
+// Exit-code contract (the complete manifest's summary.status names it):
+//   0  ok: every selected experiment succeeded, --min-hit-rate held, and
+//      every requested output was written
 //   3  partial: some experiments failed after retries, but at least one
 //      succeeded — the exported JSON holds the successes + error records
-//   1  unusable: every experiment failed, --min-hit-rate violated, or
-//      --fail-fast aborted on the first failure
-//   2  usage error (bad flags, unknown ids, unreadable --resume manifest)
+//   1  unusable: every experiment failed, --min-hit-rate violated,
+//      --fail-fast aborted on the first failure, or a requested output
+//      (--json-out, --manifest, --trace-out, an artifact) was not written
+//   2  usage: bad flags, unknown ids, unreadable --resume manifest or input
 #pragma once
 
 #include <cstdint>
@@ -123,6 +125,12 @@ struct AttemptRecord {
   bool prior = false;     ///< carried over from a --resume'd manifest
 };
 
+/// One artifact file written for an experiment, as recorded in the manifest.
+struct ArtifactWrite {
+  std::string path;
+  bool written = false;  ///< what the writer reported
+};
+
 struct ExperimentOutcome {
   std::string id;
   std::string key_hex;
@@ -136,6 +144,7 @@ struct ExperimentOutcome {
   /// Every attempt this run made (and, under --resume, the prior run's
   /// attempts first, flagged prior). A cache replay records one "ok" row.
   std::vector<AttemptRecord> attempts;
+  std::vector<ArtifactWrite> artifacts;  ///< this run's artifact writes
   bool resumed = false;  ///< had a record in the --resume manifest
 };
 
@@ -147,7 +156,7 @@ struct RunOutcome {
   double hit_rate = 0.0;
   bool hit_rate_ok = true;  ///< --min-hit-rate assertion (true when unset)
   double total_seconds = 0.0;
-  /// "ok" | "partial" | "unusable" — mirrors the exit-code contract.
+  /// "ok" | "partial" | "unusable" | "usage": the name of exit_code.
   std::string status = "ok";
   std::vector<ExperimentOutcome> experiments;
 };

@@ -15,6 +15,7 @@
 #include "cli/experiment.h"
 #include "core/study.h"
 #include "experiments.h"
+#include "fault/injector.h"
 #include "obs/names.h"
 #include "report/json_reader.h"
 #include "stats/parallel.h"
@@ -55,7 +56,10 @@ class DriverTest : public ::testing::Test {
     fs::remove_all(dir_);
     fs::create_directories(dir_);
   }
-  void TearDown() override { fs::remove_all(dir_); }
+  void TearDown() override {
+    fault::Injector::global().disarm();
+    fs::remove_all(dir_);
+  }
 
   DriverOptions base_options() {
     DriverOptions options;
@@ -71,6 +75,22 @@ class DriverTest : public ::testing::Test {
   static std::string slurp(const fs::path& path) {
     std::ifstream in(path, std::ios::binary);
     return {std::istreambuf_iterator<char>(in), {}};
+  }
+
+  /// The manifest's summary status and exit code as "status/exit_code";
+  /// empty when the summary carries neither (a snapshot).
+  std::string manifest_verdict() const {
+    if (!fs::exists(dir_ / "manifest.json")) return "missing";
+    const std::string text = slurp(dir_ / "manifest.json");
+    const std::optional<report::JsonDocument> doc = report::parse_json(text);
+    if (!doc) return "unparseable";
+    const report::JsonValue* summary = doc->root().member("summary");
+    const report::JsonValue* status = summary->member("status");
+    const report::JsonValue* exit_code = summary->member("exit_code");
+    if (status == nullptr && exit_code == nullptr) return "";
+    if (status == nullptr || exit_code == nullptr) return "half";
+    return std::string(*status->as_string()) + "/" +
+           std::to_string(static_cast<int>(*exit_code->as_number()));
   }
 
   fs::path dir_;
@@ -274,8 +294,10 @@ TEST_F(DriverTest, MinHitRateGatesTheExitCode) {
   options.min_hit_rate = 0.9;
   // Cold run: 0% hits => assertion fails.
   EXPECT_EQ(run_driver(registry, options, std::cout).exit_code, 1);
+  EXPECT_EQ(manifest_verdict(), "unusable/1");
   // Warm run: 100% hits => passes.
   EXPECT_EQ(run_driver(registry, options, std::cout).exit_code, 0);
+  EXPECT_EQ(manifest_verdict(), "ok/0");
 }
 
 TEST_F(DriverTest, NonCacheableExperimentsAlwaysRunFresh) {
@@ -568,6 +590,7 @@ TEST_F(DriverTest, FailFastAbortsOnFirstFailure) {
   EXPECT_EQ(run.exit_code, kExitUnusable);
   ASSERT_EQ(run.experiments.size(), 2u);  // ok1, bad — ok2 never ran
   EXPECT_NE(out.str().find("--fail-fast"), std::string::npos);
+  EXPECT_EQ(manifest_verdict(), "unusable/1");
 }
 
 TEST_F(DriverTest, PartialRunAndColdCacheReportBothConditions) {
@@ -581,6 +604,73 @@ TEST_F(DriverTest, PartialRunAndColdCacheReportBothConditions) {
   EXPECT_FALSE(run.hit_rate_ok);  // the violation is no longer masked
   EXPECT_NE(out.str().find("below required"), std::string::npos);
   EXPECT_NE(out.str().find("run partial"), std::string::npos);
+}
+
+TEST_F(DriverTest, AnUnwrittenOutputMakesTheRunUnusable) {
+  // Each output is judged by its writer's report of its last write: any
+  // requested output left unwritten ends the run unusable and is named by
+  // its flag and path. A failed manifest snapshot followed by a good final
+  // manifest is only a warning.
+  std::ofstream(dir_ / "a_file") << "x";
+  const std::string missing = (dir_ / "no_dir" / "out.json").string();
+  const std::string manifest = (dir_ / "manifest.json").string();
+  struct Case {
+    std::string DriverOptions::*output;  ///< pointed at `path`; null = none
+    std::string path;
+    std::string faults;  ///< VDBENCH_FAULTS spec; empty = disarmed
+    int exit_code;
+    std::string named;    ///< what the run must name; empty = nothing
+    std::string verdict;  ///< manifest_verdict() afterwards
+  };
+  const Case cases[] = {
+      {&DriverOptions::json_out, missing, "", kExitUnusable,
+       "--json-out " + missing, "unusable/1"},
+      {&DriverOptions::manifest_path, missing, "", kExitUnusable,
+       "--manifest " + missing, "missing"},
+      {&DriverOptions::trace_out, missing, "", kExitUnusable,
+       "--trace-out " + missing, "unusable/1"},
+      {&DriverOptions::artifact_dir, (dir_ / "a_file").string(), "",
+       kExitUnusable,
+       "--artifact-dir " + (dir_ / "a_file" / "t2_data.json").string(),
+       "unusable/1"},
+      // One experiment: write 1 is its snapshot, write 2 the final one.
+      {nullptr, "", "manifest.write=io_error@2", kExitUnusable,
+       "--manifest " + manifest, ""},
+      {nullptr, "", "manifest.write=io_error@1", kExitOk, "", "ok/0"},
+  };
+  for (const Case& c : cases) {
+    const std::string label = c.named + c.faults;
+    fs::remove(manifest);
+    DriverOptions options = base_options();
+    options.quiet = true;
+    options.use_cache = false;
+    options.experiments = "t2";
+    if (c.output != nullptr) options.*c.output = c.path;
+    if (!c.faults.empty()) fault::Injector::global().arm(c.faults);
+    std::ostringstream out;
+    const RunOutcome run = run_driver(toy_registry(), options, out);
+    fault::Injector::global().disarm();
+    EXPECT_EQ(run.exit_code, c.exit_code) << label << "\n" << out.str();
+    EXPECT_EQ(run.status, c.exit_code == kExitOk ? "ok" : "unusable");
+    if (!c.named.empty()) {
+      EXPECT_NE(out.str().find("could not write " + c.named),
+                std::string::npos)
+          << label << "\n" << out.str();
+    } else {
+      EXPECT_EQ(out.str().find("could not write --"), std::string::npos)
+          << out.str();
+    }
+    EXPECT_EQ(manifest_verdict(), c.verdict) << label;
+    // The manifest row lists the artifact, as its writer reported it.
+    const std::string row =
+        R"("artifacts":[{"path":")" +
+        (fs::path(options.artifact_dir) / "t2_data.json").string() +
+        R"(","written":)" +
+        (c.output == &DriverOptions::artifact_dir ? "false" : "true") + "}]";
+    if (c.verdict != "missing") {
+      EXPECT_NE(slurp(manifest).find(row), std::string::npos) << label;
+    }
+  }
 }
 
 TEST_F(DriverTest, UnreadableResumeManifestIsAUsageError) {

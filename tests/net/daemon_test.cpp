@@ -390,11 +390,14 @@ TEST_F(DaemonTest, InjectedNetFaultsDegradeToStatusesNotCrashes) {
 }
 
 TEST_F(DaemonTest, AnUncreatableArtifactDirectoryEndsNoSession) {
-  // A regular file where session-1's artifact directory would go. The
-  // driver creates that directory only to write an artifact into it, and
-  // e1 writes none, so the session ends ok and the daemon serves on.
+  // Regular files where sessions 1 and 3 would put their artifact
+  // directories. The driver creates that directory only to write an
+  // artifact into it, and e1 writes none, so session 1 ends ok. e13's
+  // suite file cannot be written, so session 3 ends unusable (exit 1). The
+  // daemon serves on either way.
   fs::create_directories(options_.work_dir);
-  std::ofstream(fs::path(options_.work_dir) / "session-1.artifacts") << "x";
+  for (const char* blocked : {"session-1.artifacts", "session-3.artifacts"})
+    std::ofstream(fs::path(options_.work_dir) / blocked) << "x";
   registry_ = bench::study_registry();
   start_server();
   const ClientOutcome first = run_client("e1");
@@ -402,6 +405,12 @@ TEST_F(DaemonTest, AnUncreatableArtifactDirectoryEndsNoSession) {
   const ClientOutcome second = run_client("e1");
   EXPECT_EQ(second.status.status, "ok") << second.status.error;
   EXPECT_EQ(second.export_json, first.export_json);
+  const ClientOutcome lost = run_client("e13");
+  EXPECT_EQ(lost.status.status, "unusable") << lost.status.error;
+  EXPECT_EQ(lost.status.exit_code, cli::kExitUnusable);
+  const ClientOutcome next = run_client("e1");
+  EXPECT_EQ(next.status.status, "ok") << next.status.error;
+  EXPECT_EQ(next.status.exit_code, 0);
   EXPECT_EQ(stop_server(), 0);
 }
 

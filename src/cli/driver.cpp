@@ -122,13 +122,6 @@ void print_stage_table(const std::vector<stats::StageTimer::Stage>& stages,
   table.print(os);
 }
 
-// A requested output that its writer reports unwritten, named by its flag
-// and path. Any one makes the run unusable.
-void print_unwritten(std::string_view flag, const std::string& path,
-                     std::ostream& out) {
-  out << "vdbench: could not write " << flag << " " << path << "\n";
-}
-
 std::vector<ArtifactWrite> write_artifacts(
     const std::vector<Artifact>& artifacts, const std::string& artifact_dir,
     std::ostream& out) {
@@ -138,16 +131,13 @@ std::vector<ArtifactWrite> write_artifacts(
       artifact_dir.empty() ? std::filesystem::path(".")
                            : std::filesystem::path(artifact_dir);
   // write_file_atomic creates no directory; a failure here shows as the
-  // artifact's own failed write below.
+  // artifact's own failed write below, which finish() reports.
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   for (const Artifact& artifact : artifacts) {
     const std::string path = (dir / artifact.name).string();
     writes.push_back({path, cache::write_file_atomic(path, artifact.content)});
-    if (writes.back().written)
-      out << "wrote artifact " << path << "\n";
-    else
-      print_unwritten("--artifact-dir", path, out);
+    if (writes.back().written) out << "wrote artifact " << path << "\n";
   }
   return writes;
 }
@@ -981,16 +971,16 @@ void finish(RunState& state, std::ostream& out) {
   }
 
   // Each requested output is judged by its last write, as its writer
-  // reports it; any one unwritten makes the run unusable, so exit 3 still
-  // promises an export.
+  // reports it; any one unwritten is named here and makes the run
+  // unusable, so exit 3 still promises an export.
   std::size_t unwritten = 0;
   const auto lose = [&](std::string_view flag, const std::string& path) {
-    print_unwritten(flag, path, out);
+    out << "vdbench: could not write " << flag << " " << path << "\n";
     ++unwritten;
   };
   for (const ExperimentOutcome& outcome : run.experiments)
     for (const ArtifactWrite& artifact : outcome.artifacts)
-      if (!artifact.written) ++unwritten;
+      if (!artifact.written) lose("--artifact-dir", artifact.path);
 
   // A degraded run still exports: successes plus per-experiment error
   // records, so partial studies remain inspectable.

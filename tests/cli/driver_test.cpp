@@ -78,7 +78,8 @@ class DriverTest : public ::testing::Test {
   }
 
   /// The manifest's summary status and exit code as "status/exit_code";
-  /// empty when the summary carries neither (a snapshot).
+  /// empty when the summary carries neither (a snapshot), "missing"
+  /// without a manifest.
   std::string manifest_verdict() const {
     if (!fs::exists(dir_ / "manifest.json")) return "missing";
     const std::string text = slurp(dir_ / "manifest.json");
@@ -284,7 +285,9 @@ TEST_F(DriverTest, UnknownExperimentIdFailsTheRun) {
   DriverOptions options = base_options();
   options.experiments = "t1,e99";
   std::ostringstream out;
-  EXPECT_EQ(run_driver(registry, options, out).exit_code, 2);
+  const RunOutcome run = run_driver(registry, options, out);
+  EXPECT_EQ(run.exit_code, 2);
+  EXPECT_EQ(run.status, "usage");
 }
 
 TEST_F(DriverTest, MinHitRateGatesTheExitCode) {

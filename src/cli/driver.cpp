@@ -1023,14 +1023,10 @@ void finish(RunState& state, std::ostream& out) {
     }
   }
 
-  if (run.failed > 0 || unwritten > 0) {
-    out << "vdbench: run " << run.status << " (";
-    if (run.failed > 0)
-      out << run.failed << " of " << run.experiments.size()
-          << " experiment(s) failed" << (unwritten > 0 ? ", " : "");
-    if (unwritten > 0) out << unwritten << " requested output(s) not written";
-    out << ")\n";
-  }
+  if (run.failed > 0 || unwritten > 0)
+    out << "vdbench: run " << run.status << " (" << run.failed << " of "
+        << run.experiments.size() << " experiment(s) failed, " << unwritten
+        << " requested output(s) not written)\n";
 }
 
 }  // namespace

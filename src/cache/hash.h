@@ -1,9 +1,13 @@
-// Stable content hashing for cache keys and payload checksums.
+// Stable content hashing for keys: result-cache keys and the checksum in a
+// cache entry's text header, stream::file_digest (which joins a replayed
+// log into the cache key) and the stream's per-service seeds.
 //
 // FNV-1a (64-bit) is deliberately simple: the cache needs a hash that is
 // identical across processes, platforms and library versions — not a
 // cryptographic one. Keys additionally length-prefix every field so that
-// ("ab","c") and ("a","bc") can never collide by concatenation.
+// ("ab","c") and ("a","bc") can never collide by concatenation. The binary
+// envelopes (report log, wire frame) check their frames with CRC-32C
+// instead (cache/bytes.h).
 #pragma once
 
 #include <cstdint>

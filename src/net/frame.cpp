@@ -1,7 +1,6 @@
 #include "net/frame.h"
 
 #include "cache/bytes.h"
-#include "cache/hash.h"
 #include "fault/injector.h"
 #include "obs/registry.h"
 
@@ -12,7 +11,6 @@ namespace {
 constexpr char kMagic[4] = {'V', 'D', 'N', 'F'};
 // version + type + reserved + length — the checksummed fixed prefix.
 constexpr std::size_t kHeaderBytes = 8;
-constexpr std::size_t kChecksumBytes = 8;
 
 bool known_type(std::uint8_t type) {
   return type >= static_cast<std::uint8_t>(FrameType::kRequest) &&
@@ -27,7 +25,7 @@ std::string encode_frame(FrameType type, std::string_view payload) {
                          " bytes exceeds the frame cap");
   std::string wire;
   wire.reserve(sizeof(kMagic) + kHeaderBytes + payload.size() +
-               kChecksumBytes);
+               cache::kChecksumBytes);
   wire.append(kMagic, sizeof(kMagic));
   wire.push_back(static_cast<char>(kWireVersion));
   wire.push_back(static_cast<char>(type));
@@ -89,11 +87,9 @@ Frame read_frame(const ReadExactFn& read, std::string_view role) {
                        std::to_string(length));
 
   std::string body(header, sizeof(header));
-  body.resize(sizeof(header) + length);
-  if (length > 0) read(body.data() + sizeof(header), length);
-  char trailer[kChecksumBytes];
+  cache::read_appended(body, length, read);
+  char trailer[cache::kChecksumBytes] = {};
   read(trailer, sizeof(trailer));
-  std::uint64_t declared = cache::get_le<std::uint64_t>(trailer);
 
   // The net.frame point mangles the bytes AFTER they were received and
   // BEFORE validation — modelling a torn or bit-rotted frame that the
@@ -108,13 +104,13 @@ Frame read_frame(const ReadExactFn& read, std::string_view role) {
     case fault::Action::kIoError:
     case fault::Action::kThrow:
     case fault::Action::kTimeout:
-      declared ^= 1;  // any other action: damage the declared checksum
+      trailer[0] ^= 1;  // any other action: damage the declared checksum
       break;
     case fault::Action::kNone:
       break;
   }
 
-  if (cache::fnv1a64(body) != declared)
+  if (!cache::checksum_matches(body, trailer))
     throw FrameCorrupt("checksum mismatch on " +
                        std::to_string(body.size()) + "-byte frame body");
   if (!known_type(raw_type))
@@ -122,7 +118,7 @@ Frame read_frame(const ReadExactFn& read, std::string_view role) {
 
   if (role == kRoleServer)
     obs::count(obs::Counter::kNetBytesIn,
-               sizeof(kMagic) + body.size() + kChecksumBytes);
+               sizeof(kMagic) + body.size() + sizeof(trailer));
 
   Frame frame;
   frame.type = static_cast<FrameType>(raw_type);

@@ -5,12 +5,12 @@
 // `VDRLOG01` report log (stream/report_log.h), applied to a socket:
 //
 //   magic     4 bytes "VDNF"
-//   version   u8  (kWireVersion; a mismatch is rejected loudly)
+//   version   u8  (kWireVersion, 2; a mismatch is rejected loudly)
 //   type      u8  (FrameType)
 //   reserved  u16 (must be zero)
 //   length    u32 LE payload byte count (capped at kMaxPayloadBytes)
 //   payload   `length` bytes
-//   checksum  u64 LE FNV-1a over (version, type, reserved, length, payload)
+//   checksum  u32 LE CRC-32C over (version, type, reserved, length, payload)
 //
 // Integers and the trailer use the byte codec shared with the report log
 // (cache/bytes.h), so the protocol is platform-independent. Corruption
@@ -37,7 +37,7 @@
 
 namespace vdbench::net {
 
-inline constexpr std::uint8_t kWireVersion = 1;
+inline constexpr std::uint8_t kWireVersion = 2;
 inline constexpr std::uint32_t kMaxPayloadBytes = 64u * 1024u * 1024u;
 
 /// Peer roles, as passed for fault keys and counter attribution.

@@ -55,7 +55,8 @@ void ReportLogWriter::append(const ReportChunk& chunk) {
   if (chunk.records.size() > kMaxFrameRecords)
     throw std::invalid_argument("report log: chunk exceeds frame record cap");
   std::string frame;
-  frame.reserve(1 + 4 + 8 + chunk.records.size() * kRecordBytes + 8);
+  frame.reserve(1 + 4 + 8 + chunk.records.size() * kRecordBytes +
+                cache::kChecksumBytes);
   frame.push_back(kFrameChunk);
   cache::put_le(frame, static_cast<std::uint32_t>(chunk.records.size()));
   cache::put_le(frame, chunk.first_site);
@@ -140,40 +141,44 @@ std::optional<LogFrame> ReportLogReader::read_frame() {
   // Read exactly n bytes into `buffer` (appended); any short read past the
   // frame's type byte means the tail was cut off mid-frame.
   const auto read_exact = [&](std::string& buffer, std::size_t n) {
-    const std::size_t start = buffer.size();
-    buffer.resize(start + n);
-    in_.read(buffer.data() + start, static_cast<std::streamsize>(n));
-    if (in_.gcount() != static_cast<std::streamsize>(n))
-      throw corrupt("truncated frame");
+    cache::read_appended(buffer, n, [&](char* dst, std::size_t count) {
+      in_.read(dst, static_cast<std::streamsize>(count));
+      if (in_.gcount() != static_cast<std::streamsize>(count))
+        throw corrupt("truncated frame");
+    });
   };
 
+  // Read the frame up to its trailer and verify it before decoding: only
+  // the record count, which sizes the read, is parsed from unchecked bytes.
   std::string frame(1, type);
-  LogFrame parsed;
   if (type == kFrameSegment) {
     read_exact(frame, 8);
-    parsed.kind = LogFrame::Kind::kSegment;
-    parsed.segment_tag = cache::get_le<std::uint64_t>(frame.data() + 1);
   } else if (type == kFrameChunk) {
     read_exact(frame, 4 + 8);
     const std::uint32_t count = cache::get_le<std::uint32_t>(frame.data() + 1);
     if (count > kMaxFrameRecords) throw corrupt("implausible record count");
-    parsed.kind = LogFrame::Kind::kChunk;
-    parsed.chunk.first_site = cache::get_le<std::uint64_t>(frame.data() + 5);
     read_exact(frame, static_cast<std::size_t>(count) * kRecordBytes);
-    const std::string_view payload(frame.data() + 13,
-                                   static_cast<std::size_t>(count) *
-                                       kRecordBytes);
-    if (!decode_records(payload, parsed.chunk.records))
-      throw corrupt("malformed chunk payload");
   } else {
     throw corrupt("unknown frame type " + std::to_string(type));
   }
-
-  std::string trailer;
-  read_exact(trailer, 8);
-  if (cache::get_le<std::uint64_t>(trailer.data()) != cache::fnv1a64(frame))
+  const std::size_t checked = frame.size();
+  read_exact(frame, cache::kChecksumBytes);
+  if (!cache::checksum_matches(std::string_view(frame).substr(0, checked),
+                               frame.data() + checked))
     throw corrupt("checksum mismatch");
-  obs::count(obs::Counter::kLogBytesRead, frame.size() + trailer.size());
+  obs::count(obs::Counter::kLogBytesRead, frame.size());
+
+  LogFrame parsed;
+  if (type == kFrameSegment) {
+    parsed.kind = LogFrame::Kind::kSegment;
+    parsed.segment_tag = cache::get_le<std::uint64_t>(frame.data() + 1);
+  } else {
+    parsed.kind = LogFrame::Kind::kChunk;
+    parsed.chunk.first_site = cache::get_le<std::uint64_t>(frame.data() + 5);
+    // The payload is count * kRecordBytes long, so it decodes whole.
+    (void)decode_records(std::string_view(frame).substr(13, checked - 13),
+                         parsed.chunk.records);
+  }
   return parsed;
 }
 

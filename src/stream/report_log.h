@@ -3,18 +3,20 @@
 //
 // A log is a versioned header followed by append-only checksummed frames:
 //
-//   header   16 bytes: magic "VDRLOG01", u32 format version, u32 reserved
+//   header   16 bytes: magic "VDRLOG01", u32 format version (2), u32
+//            reserved
 //   segment  frame type 0x01, u64 tag (the stream's declared total sites),
-//            u64 FNV-1a checksum over (type, tag)
+//            u32 CRC-32C checksum over (type, tag)
 //   chunk    frame type 0x02, u32 record count, u64 first-site ordinal,
-//            count * kRecordBytes payload, u64 FNV-1a checksum over
+//            count * kRecordBytes payload, u32 CRC-32C checksum over
 //            (type, count, first_site, payload)
 //
-// All integers are little-endian and every checksum is the frame's u64 LE
-// trailer (cache/bytes.h, shared with the wire frame of net/frame.h), so a
-// log recorded on any platform replays byte-identically on any other. Each
-// stream is one segment frame followed by its chunk frames; a file may hold
-// several segments back to back.
+// All integers are little-endian and every checksum is the frame's 4-byte
+// LE trailer (cache/bytes.h, shared with the wire frame of net/frame.h), so
+// a log recorded on any platform replays byte-identically on any other. The
+// reader verifies a frame's trailer before it decodes any field past the
+// record count. Each stream is one segment frame followed by its chunk
+// frames; a file may hold several segments back to back.
 //
 // Corruption policy mirrors the result cache (cache/result_cache.h): any
 // frame that fails validation — a truncated tail, a checksum mismatch, an
@@ -37,7 +39,7 @@ namespace vdbench::stream {
 
 /// On-disk format version; bump on any layout change so old logs are
 /// rejected loudly rather than misparsed.
-inline constexpr std::uint32_t kLogFormatVersion = 1;
+inline constexpr std::uint32_t kLogFormatVersion = 2;
 
 /// Raised by the reader for any structural damage: truncated tail,
 /// checksum mismatch, bad magic/version, unknown frame type. Derives from

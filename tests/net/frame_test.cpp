@@ -37,20 +37,52 @@ std::string from_hex(std::string_view text) {
   return out;
 }
 
+// One frame of each type, with its head (magic .. length) and trailer.
+struct DocumentedFrame {
+  FrameType type;
+  std::string payload;
+  std::string_view head_hex;
+  std::string_view trailer_hex;
+};
+
 // The bytes of frame.h's layout, spelled out for one frame of each type:
 // magic, version, type, reserved u16, payload length u32 LE, the payload,
-// then the u64 LE FNV-1a of everything after the magic. The expected hex
-// was computed from the layout comment, not from the encoder, so a codec
-// that changed byte order or checksum coverage fails here even though its
-// own encoder and reader still agree.
+// then the u32 LE CRC-32C of everything after the magic. The expected hex
+// was computed from the layout comment with a bitwise CRC-32C
+// (tests/support/envelope_pins.py), not from the encoder, so a codec that
+// changed byte order, checksum or coverage fails here even though its own
+// encoder and reader still agree.
 TEST_F(FrameTest, EncodesTheDocumentedBytes) {
-  struct Case {
-    FrameType type;
-    std::string payload;
-    std::string_view head_hex;     // magic .. length
-    std::string_view trailer_hex;  // checksum
+  const DocumentedFrame cases[] = {
+      {FrameType::kRequest, R"({"experiments":"e1"})",
+       "56444e46" "02" "01" "0000" "14000000", "b6aab62a"},
+      {FrameType::kProgress, "ok\n",
+       "56444e46" "02" "02" "0000" "03000000", "169c9682"},
+      {FrameType::kExport, "",
+       "56444e46" "02" "03" "0000" "00000000", "9c3d55a6"},
+      {FrameType::kManifest, "{}",
+       "56444e46" "02" "04" "0000" "02000000", "58b4c4ad"},
+      {FrameType::kStatus, std::string(258, 's'),
+       "56444e46" "02" "05" "0000" "02010000", "dbb90d1f"},
   };
-  const Case cases[] = {
+  for (const DocumentedFrame& c : cases) {
+    const std::string expected =
+        from_hex(c.head_hex) + c.payload + from_hex(c.trailer_hex);
+    EXPECT_EQ(encode_frame(c.type, c.payload), expected)
+        << "frame type " << static_cast<int>(c.type);
+    // The reader takes the documented bytes back to the same frame.
+    std::size_t pos = 0;
+    const Frame frame = read_frame(string_reader(expected, pos), kRoleClient);
+    EXPECT_EQ(frame.type, c.type);
+    EXPECT_EQ(frame.payload, c.payload);
+  }
+}
+
+// The same frames as wire version 1 sent them, each closed by a u64 LE
+// FNV-1a (`envelope_pins.py --version 1`). The reader refuses each by its
+// version byte, before any trailer is read.
+TEST_F(FrameTest, RejectsTheVersion1Bytes) {
+  const DocumentedFrame cases[] = {
       {FrameType::kRequest, R"({"experiments":"e1"})",
        "56444e46" "01" "01" "0000" "14000000", "87fcd8092003cea2"},
       {FrameType::kProgress, "ok\n",
@@ -62,16 +94,17 @@ TEST_F(FrameTest, EncodesTheDocumentedBytes) {
       {FrameType::kStatus, std::string(258, 's'),
        "56444e46" "01" "05" "0000" "02010000", "b4f6cb64abb98918"},
   };
-  for (const Case& c : cases) {
-    const std::string expected =
+  for (const DocumentedFrame& c : cases) {
+    const std::string wire =
         from_hex(c.head_hex) + c.payload + from_hex(c.trailer_hex);
-    EXPECT_EQ(encode_frame(c.type, c.payload), expected)
-        << "frame type " << static_cast<int>(c.type);
-    // The reader takes the documented bytes back to the same frame.
     std::size_t pos = 0;
-    const Frame frame = read_frame(string_reader(expected, pos), kRoleClient);
-    EXPECT_EQ(frame.type, c.type);
-    EXPECT_EQ(frame.payload, c.payload);
+    try {
+      (void)read_frame(string_reader(wire, pos), kRoleClient);
+      ADD_FAILURE() << "a version 1 frame was read";
+    } catch (const FrameCorrupt& error) {
+      EXPECT_EQ(std::string(error.what()),
+                "net frame corrupt: wire version 1 (expected 2)");
+    }
   }
 }
 
@@ -120,22 +153,6 @@ TEST_F(FrameTest, RejectsVersionSkew) {
   std::size_t pos = 0;
   EXPECT_THROW(read_frame(string_reader(wire, pos), kRoleClient),
                FrameCorrupt);
-}
-
-TEST_F(FrameTest, RejectsEveryFlippedPayloadBit) {
-  const std::string wire = encode_frame(FrameType::kExport, "payload");
-  // Flip each byte of the wire image in turn: every single-bit mutation
-  // must be rejected — FrameCorrupt for in-frame damage, TransportError
-  // when a mangled length field runs past the available bytes. Never a
-  // silently misparsed frame.
-  for (std::size_t i = 0; i < wire.size(); ++i) {
-    std::string damaged = wire;
-    damaged[i] = static_cast<char>(damaged[i] ^ 0x10);
-    std::size_t pos = 0;
-    EXPECT_THROW((void)read_frame(string_reader(damaged, pos), kRoleClient),
-                 std::runtime_error)
-        << "byte " << i << " flip was accepted";
-  }
 }
 
 TEST_F(FrameTest, TruncatedTailIsATransportErrorNotAShortFrame) {

@@ -92,11 +92,21 @@ std::string hex(std::string_view bytes) {
   return out;
 }
 
+// Bytes of the lowercase hex string `text` (even length, no separators).
+std::string from_hex(std::string_view text) {
+  std::string out;
+  for (std::size_t i = 0; i + 1 < text.size(); i += 2)
+    out.push_back(static_cast<char>(
+        std::stoi(std::string(text.substr(i, 2)), nullptr, 16)));
+  return out;
+}
+
 // The bytes of report_log.h's layout, spelled out: every integer field
-// little-endian and every frame closed by the u64 LE FNV-1a of its bytes.
-// The expected hex was computed from the layout comment, not from the
-// writer, so a codec that changed byte order or checksum coverage fails
-// here even though its own writer and reader still agree.
+// little-endian and every frame closed by the u32 LE CRC-32C of its bytes.
+// The expected hex was computed from the layout comment with a bitwise
+// CRC-32C (tests/support/envelope_pins.py), not from the writer, so a
+// codec that changed byte order, checksum or coverage fails here even
+// though its own writer and reader still agree.
 TEST_F(ReportLogTest, WritesTheDocumentedBytes) {
   ReportChunk two;
   two.first_site = 0x1122334455667788ULL;
@@ -111,17 +121,17 @@ TEST_F(ReportLogTest, WritesTheDocumentedBytes) {
     writer.append(empty);
     writer.close();
   }
-  const std::string header =  // "VDRLOG01", version 1, reserved 0
-      "5644524c4f473031" "01000000" "00000000";
+  const std::string header =  // "VDRLOG01", version 2, reserved 0
+      "5644524c4f473031" "02000000" "00000000";
   const std::string segment =  // type, tag, checksum
-      "01" "0807060504030201" "1454596f884e7b1b";
+      "01" "0807060504030201" "7d0e0ae5";
   const std::string chunk =  // type, count, first site, 2 records, checksum
       "02" "02000000" "8877665544332211"
       "0d0c0b0a" "03020100" "03" "ff"
       "01000000" "00000400" "ff" "02"
-      "2d3aab5a2be6c7a4";
+      "304dcadc";
   const std::string empty_chunk =  // type, count 0, first site, checksum
-      "02" "00000000" "0200000001000000" "666a58bb9dae733a";
+      "02" "00000000" "0200000001000000" "d885c292";
   EXPECT_EQ(hex(slurp()), header + segment + chunk + empty_chunk);
 
   // The reader takes the same bytes back to the same values.
@@ -136,6 +146,29 @@ TEST_F(ReportLogTest, WritesTheDocumentedBytes) {
   ASSERT_TRUE(frame.has_value());
   EXPECT_EQ(frame->chunk, empty);
   EXPECT_FALSE(reader.next().has_value());
+}
+
+// The same log as format version 1 wrote it, each frame closed by a u64 LE
+// FNV-1a (`envelope_pins.py --version 1`). The reader refuses it by its
+// version field at open, before any trailer is read.
+TEST_F(ReportLogTest, RejectsTheVersion1Bytes) {
+  dump(from_hex(
+      "5644524c4f473031" "01000000" "00000000"
+      "01" "0807060504030201" "1454596f884e7b1b"
+      "02" "02000000" "8877665544332211"
+      "0d0c0b0a" "03020100" "03" "ff"
+      "01000000" "00000400" "ff" "02"
+      "2d3aab5a2be6c7a4"
+      "02" "00000000" "0200000001000000" "666a58bb9dae733a"));
+  try {
+    ReportLogReader reader(path_);
+    FAIL() << "a version 1 log was opened";
+  } catch (const LogCorrupt& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("unsupported format version 1 in"), std::string::npos)
+        << what;
+    EXPECT_EQ(what.find("checksum mismatch"), std::string::npos) << what;
+  }
 }
 
 TEST_F(ReportLogTest, RoundTripsSegmentsAndChunksExactly) {
@@ -270,8 +303,8 @@ TEST_F(ReportLogTest, ChecksumCatchesAPayloadBitFlip) {
   write_sample();
   std::string bytes = slurp();
   // Flip one payload bit inside the first chunk frame: header(16) +
-  // segment frame(17) + chunk type/count/first_site(13) lands in records.
-  bytes[16 + 17 + 13 + 4] ^= 0x20;
+  // segment frame(13) + chunk type/count/first_site(13) lands in records.
+  bytes[16 + 13 + 13 + 4] ^= 0x20;
   dump(bytes);
   ReportLogReader reader(path_);
   EXPECT_THROW(drain(reader), LogCorrupt);
